@@ -61,7 +61,7 @@ import argparse
 import sys
 from contextlib import ExitStack
 
-from repro.exec import artifact_cache, default_jobs
+from repro.exec import artifact_cache, default_jobs, session
 from repro.experiments import (
     ablations,
     meldcompare,
@@ -286,6 +286,7 @@ def main(argv=None):
         or None
     )
 
+    jobs = args.jobs if args.jobs is not None else default_jobs()
     registry = MetricsRegistry()
     phases = PhaseProfile()
     tracer = jsonl_tracer(args.trace) if args.trace else NULL_TRACER
@@ -309,7 +310,9 @@ def main(argv=None):
             stack.enter_context(activate(ctx))
             if ctx is not None:
                 stack.enter_context(span(f"repro.{args.artifact}"))
-            status = _run_artifact(args, benchmarks)
+            # One worker pool for every driver this command runs.
+            stack.enter_context(session(jobs))
+            status = _run_artifact(args, benchmarks, jobs)
     finally:
         tracer.close()
     if status:
@@ -387,9 +390,8 @@ def _run_cache_command(parser, action):
     parser.error(f"unknown cache action {action!r} (use info or clear)")
 
 
-def _run_artifact(args, benchmarks):
+def _run_artifact(args, benchmarks, jobs):
     """Dispatch one artifact run under the active telemetry context."""
-    jobs = args.jobs if args.jobs is not None else default_jobs()
 
     if args.artifact == "coverage":
         from repro.experiments import coverage

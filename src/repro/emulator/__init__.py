@@ -7,7 +7,7 @@ profiler (:mod:`repro.profiling`) and the trace-driven timing simulator
 part of the paper's simulator at a fidelity Python can afford.
 """
 
-from repro.emulator.state import ArchState
+from repro.emulator.state import ArchState, MemoryImage
 from repro.emulator.trace import NO_ADDRESS, Trace, TraceView, trace_rows
 from repro.emulator.emulator import (
     DynamicInstruction,
@@ -20,6 +20,7 @@ __all__ = [
     "ArchState",
     "DynamicInstruction",
     "Emulator",
+    "MemoryImage",
     "NO_ADDRESS",
     "RunResult",
     "Trace",

@@ -3,8 +3,8 @@ artifact cache.
 
 :mod:`repro.exec.engine` turns each figure/table driver into a planned
 list of independent (benchmark, input set, config) cells and runs them
-serially or over a process pool with deterministic, plan-ordered
-gathering.  :mod:`repro.exec.artifact_cache` keeps traces and profiles
+serially or on a session-wide, benchmark-affine worker pool with
+deterministic, plan-ordered gathering.  :mod:`repro.exec.artifact_cache` keeps traces and profiles
 on disk, content-addressed, across processes and invocations.  See
 ``docs/performance.md``.
 """
@@ -17,6 +17,7 @@ from repro.exec.engine import (
     execute,
     execute_starmap,
     resolve_jobs,
+    session,
 )
 
 __all__ = [
@@ -27,4 +28,5 @@ __all__ = [
     "execute",
     "execute_starmap",
     "resolve_jobs",
+    "session",
 ]

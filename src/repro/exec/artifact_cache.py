@@ -109,11 +109,16 @@ def program_fingerprint(program):
 
 
 def memory_fingerprint(memory):
-    """SHA-256 over the sparse word-memory image (the input set)."""
+    """SHA-256 over the sparse word-memory image (the input set).
+
+    Words are hashed in address order, so a ``dict`` and the
+    :class:`~repro.emulator.MemoryImage` holding the same words share
+    one fingerprint (and every artifact key built on it).
+    """
     digest = hashlib.sha256()
-    for address in sorted(memory):
+    for address, value in sorted(memory.items()):
         digest.update(struct.pack("<q", address))
-        digest.update(repr(memory[address]).encode())
+        digest.update(repr(value).encode())
     return digest.hexdigest()
 
 

@@ -50,7 +50,7 @@ def _sweep(configs, scale, benchmarks, processor_configs=None, jobs=None):
     configs = list(configs)
     cells = execute(
         [Job(_bench_cell, name, scale, configs, processor_configs,
-             label=f"ablation:{name}")
+             label=f"ablation:{name}", key=name)
          for name in benchmarks],
         jobs=jobs,
     )

@@ -22,7 +22,7 @@ from repro.uarch import make_simulator
 def run_many(benchmark_names, scale=1.0, config=None, top=15, jobs=None):
     """Coverage analysis for several benchmarks (one job each)."""
     return execute(
-        [Job(run, name, scale, config, top, label=f"coverage:{name}")
+        [Job(run, name, scale, config, top, label=f"coverage:{name}", key=name)
          for name in benchmark_names],
         jobs=jobs,
     )

@@ -42,7 +42,7 @@ def run(scale=1.0, benchmarks=None, side="both", jobs=None):
     benchmarks = benchmarks or DEFAULT_BENCHMARKS
     series = _series(side)
     cells = execute(
-        [Job(_bench_cell, name, scale, side, label=f"fig5:{name}")
+        [Job(_bench_cell, name, scale, side, label=f"fig5:{name}", key=name)
          for name in benchmarks],
         jobs=jobs,
     )

@@ -29,7 +29,7 @@ def run(scale=1.0, benchmarks=None, jobs=None):
     benchmarks = benchmarks or DEFAULT_BENCHMARKS
     labels = ["baseline"] + [label for label, _ in CUMULATIVE_HEURISTICS]
     cells = execute(
-        [Job(_bench_cell, name, scale, label=f"fig6:{name}")
+        [Job(_bench_cell, name, scale, label=f"fig6:{name}", key=name)
          for name in benchmarks],
         jobs=jobs,
     )

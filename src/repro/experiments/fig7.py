@@ -75,7 +75,7 @@ def run(scale=1.0, benchmarks=None, max_instr_values=MAX_INSTR_VALUES,
     benchmarks = benchmarks or DEFAULT_BENCHMARKS
     cells = execute(
         [Job(_bench_cell, name, scale, tuple(max_instr_values),
-             tuple(min_merge_prob_values), label=f"fig7:{name}")
+             tuple(min_merge_prob_values), label=f"fig7:{name}", key=name)
          for name in benchmarks],
         jobs=jobs,
     )

@@ -52,7 +52,7 @@ def _bench_cell(name, scale):
 def run(scale=1.0, benchmarks=None, jobs=None):
     benchmarks = benchmarks or DEFAULT_BENCHMARKS
     cells = execute(
-        [Job(_bench_cell, name, scale, label=f"fig8:{name}")
+        [Job(_bench_cell, name, scale, label=f"fig8:{name}", key=name)
          for name in benchmarks],
         jobs=jobs,
     )

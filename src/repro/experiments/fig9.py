@@ -43,7 +43,7 @@ def _bench_cell(name, scale):
 def run(scale=1.0, benchmarks=None, jobs=None):
     benchmarks = benchmarks or DEFAULT_BENCHMARKS
     cells = execute(
-        [Job(_bench_cell, name, scale, label=f"fig9:{name}")
+        [Job(_bench_cell, name, scale, label=f"fig9:{name}", key=name)
          for name in benchmarks],
         jobs=jobs,
     )

@@ -25,7 +25,10 @@ predication, and their overlap — the branches where the two approaches
 directly compete.
 """
 
+from collections import namedtuple
+
 from repro.compiler import resolve, run_selection_pipeline
+from repro.emulator import MemoryImage
 from repro.emulator import execute as emulate
 from repro.exec import Job, execute
 from repro.experiments.report import percent, render_table
@@ -52,8 +55,13 @@ MELD_BUDGET_FACTOR = 4
 #: The ``meld`` and ``meld+all-best-heur`` presets produce the same
 #: rewritten program, so the second pipeline run reuses the trace.
 _meld_trace_cache = KeyedCache("meld_trace", max_entries=32)
-#: (name, input_set, scale) -> the original run's final ArchState.
+#: (name, input_set, scale) -> the original run's final state, frozen
+#: compact (:class:`FinalState`) rather than a whole ``ArchState``.
 _final_state_cache = KeyedCache("meld_final_state", max_entries=32)
+
+#: A final architectural state as :func:`assert_equivalent` reads it:
+#: the register file as a tuple and memory as a :class:`MemoryImage`.
+FinalState = namedtuple("FinalState", "regs memory")
 
 
 def clear_meld_caches():
@@ -90,8 +98,11 @@ def _original_final_state(name, input_set, scale):
         max_instructions=workload.max_instructions,
         compact=True,
     )
-    _final_state_cache.put(key, result.state)
-    return result.state
+    final = FinalState(
+        tuple(result.state.regs), MemoryImage.from_dict(result.state.memory)
+    )
+    _final_state_cache.put(key, final)
+    return final
 
 
 def assert_equivalent(name, original, melded):
@@ -101,8 +112,9 @@ def assert_equivalent(name, original, melded):
     select, stores never melded) promises the final register file and
     memory image match the original bit for bit; any difference is a
     transform bug, reported loudly instead of skewing the comparison.
+    Either state may be an ``ArchState`` or a :class:`FinalState`.
     """
-    if original.regs != melded.regs:
+    if list(original.regs) != list(melded.regs):
         diverged = [
             index
             for index, (a, b) in enumerate(zip(original.regs, melded.regs))
@@ -145,6 +157,9 @@ def melded_run(name, config, input_set="reduced", scale=1.0, ledger=None):
     trace = _meld_trace_cache.get(key)
     if trace is not None:
         return state, program, trace
+    # The original's final state first, so its expanded memory is
+    # frozen and freed before the melded run expands another.
+    original = _original_final_state(name, input_set, scale)
     budget = workload.max_instructions * MELD_BUDGET_FACTOR
     trace, result = emulate(
         program,
@@ -156,9 +171,7 @@ def melded_run(name, config, input_set="reduced", scale=1.0, ledger=None):
         raise RuntimeError(
             f"melded {name!r} did not halt within {budget} instructions"
         )
-    assert_equivalent(
-        name, _original_final_state(name, input_set, scale), result.state
-    )
+    assert_equivalent(name, original, result.state)
     _meld_trace_cache.put(key, trace)
     return state, program, trace
 
@@ -246,7 +259,7 @@ def _bench_cell(name, scale):
 def run(scale=1.0, benchmarks=None, jobs=None):
     benchmarks = benchmarks or DEFAULT_BENCHMARKS
     cells = execute(
-        [Job(_bench_cell, name, scale, label=f"meldcompare:{name}")
+        [Job(_bench_cell, name, scale, label=f"meldcompare:{name}", key=name)
          for name in benchmarks],
         jobs=jobs,
     )

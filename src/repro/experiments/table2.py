@@ -40,7 +40,7 @@ def _bench_cell(name, scale):
 def run(scale=1.0, benchmarks=None, jobs=None):
     benchmarks = benchmarks or DEFAULT_BENCHMARKS
     rows = execute(
-        [Job(_bench_cell, name, scale, label=f"table2:{name}")
+        [Job(_bench_cell, name, scale, label=f"table2:{name}", key=name)
          for name in benchmarks],
         jobs=jobs,
     )

@@ -312,6 +312,11 @@ def main(argv=None):
         help="timing-simulator engine (default: process default / "
              "auto); the record's 'engine' key reports what ran",
     )
+    parser.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="persistent artifact cache directory (default: "
+             "$REPRO_CACHE_DIR or ~/.cache/dmp-repro)",
+    )
     form = parser.add_mutually_exclusive_group()
     form.add_argument(
         "--json", action="store_true",
@@ -334,6 +339,10 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     selection_config = _resolve_config(args, parser)
+    if args.cache_dir:
+        from repro.exec import artifact_cache
+
+        artifact_cache.set_cache_dir(args.cache_dir)
 
     try:
         data = build_profile(

@@ -166,7 +166,7 @@ class TwoDProfiler:
         # slicing when region mixes vary).
         counter = [0]
         Emulator(program).run(
-            state=ArchState(memory=dict(memory) if memory else None),
+            state=ArchState(memory=memory),
             max_instructions=max_instructions,
             on_branch=lambda pc, taken: counter.__setitem__(
                 0, counter[0] + 1
@@ -178,7 +178,7 @@ class TwoDProfiler:
         )
 
         Emulator(program).run(
-            state=ArchState(memory=dict(memory) if memory else None),
+            state=ArchState(memory=memory),
             max_instructions=max_instructions,
             on_branch=on_branch,
         )

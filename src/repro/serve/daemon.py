@@ -17,6 +17,7 @@ exits — a deadlock.  A helper thread makes the call instead.
 import argparse
 import json
 import signal
+import socket
 import sys
 import threading
 import time
@@ -33,6 +34,17 @@ DEFAULT_PORT = 8642
 EXIT_SIGINT = 130
 EXIT_SIGTERM = 143
 
+#: Largest request body accepted, in bytes; a longer one is refused
+#: with 413 without being read.  Real bodies are a few hundred
+#: bytes of JSON.
+MAX_BODY_BYTES = 1 << 20
+
+#: After refusing a request whose body it did not read, the handler
+#: discards at most this many further bytes, waiting at most
+#: ``LINGER_TIMEOUT_S`` for each, before it closes the connection.
+LINGER_BYTES = 8 * MAX_BODY_BYTES
+LINGER_TIMEOUT_S = 1.0
+
 
 class ServeServer(ThreadingHTTPServer):
     """Threaded HTTP server that drains in-flight requests on close."""
@@ -45,6 +57,23 @@ class ServeServer(ThreadingHTTPServer):
         self.app = app
         self.verbose = verbose
         super().__init__(address, RequestHandler)
+
+
+def _body_length(header):
+    """``(length, None, None)`` for a usable ``Content-Length`` header,
+    else ``(None, status, message)`` with the 4xx to answer."""
+    try:
+        length = int(header)
+    except (TypeError, ValueError):
+        return None, 400, "bad Content-Length"
+    if length < 0:
+        return None, 400, "negative Content-Length"
+    if length > MAX_BODY_BYTES:
+        return None, 413, (
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit"
+        )
+    return length, None, None
 
 
 class RequestHandler(BaseHTTPRequestHandler):
@@ -68,6 +97,29 @@ class RequestHandler(BaseHTTPRequestHandler):
         body = (json.dumps({"error": message}, sort_keys=True) + "\n") \
             .encode("utf-8")
         self._send(status, body)
+
+    def _lingering_close(self):
+        """Half-close, then drain what the client is still sending.
+
+        Closing a socket with unread data makes the kernel reset the
+        connection, and a client that is still sending its body would
+        then see the reset instead of the reply.  Shutting down the
+        write side delivers the reply followed by EOF; the bounded
+        drain lets the client finish sending before the close.
+        """
+        self.close_connection = True
+        try:
+            self.wfile.flush()
+            self.connection.shutdown(socket.SHUT_WR)
+            self.connection.settimeout(LINGER_TIMEOUT_S)
+            left = LINGER_BYTES
+            while left > 0:
+                chunk = self.connection.recv(min(left, 1 << 16))
+                if not chunk:
+                    break
+                left -= len(chunk)
+        except OSError:
+            pass  # reset, or timed out: close anyway
 
     def do_GET(self):
         app = self.server.app
@@ -107,12 +159,16 @@ class RequestHandler(BaseHTTPRequestHandler):
             )
             return
         endpoint = self.path[len("/v1/"):]
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except (TypeError, ValueError):
-            self._error(400, "bad Content-Length")
+        length, status, message = _body_length(
+            self.headers.get("Content-Length", 0)
+        )
+        if status is not None:
+            # The body was not read, so the connection cannot carry
+            # another request.
+            self._error(status, message)
+            self._lingering_close()
             app.log_access(
-                "POST", self.path, 400,
+                "POST", self.path, status,
                 (time.monotonic() - started) * 1000.0,
             )
             return

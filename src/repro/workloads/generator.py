@@ -46,9 +46,11 @@ Region kinds
     pressure) or strided streaming loads.
 """
 
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
+from repro.emulator.state import MemoryImage
 from repro.errors import WorkloadError
 from repro.isa import ProgramBuilder
 from repro.workloads.behaviors import BehaviorRNG
@@ -455,29 +457,34 @@ def fill_memory(spec, segments, seed, p_shift=0.0, iter_scale=1.0):
 
     ``p_shift`` perturbs branch biases and ``iter_scale`` scales loop
     trip counts — this is how the "train" input set differs from the
-    "reduced" one (§7.3).
+    "reduced" one (§7.3).  Returns an immutable
+    :class:`~repro.emulator.state.MemoryImage`; segments are laid out
+    at increasing, disjoint bases, so the columns are built in address
+    order directly.
     """
     rng = BehaviorRNG(seed)
-    memory = {}
+    addresses = array("q")
+    values = array("q")
+
+    def put(segment, words):
+        addresses.extend(range(segment.base, segment.base + len(words)))
+        values.extend(words)
+
     n = spec.iterations
     for segment in segments:
         region = segment.region
         kind = region.kind
         if kind in ("simple_hammock", "short_hammock", "ret_hammock",
                     "split"):
-            bits = _behavior_bits(rng, region, n, p_shift)
-            for i, bit in enumerate(bits):
-                memory[segment.base + i] = bit
+            put(segment, _behavior_bits(rng, region, n, p_shift))
         elif kind == "nested_hammock":
             outer = _behavior_bits(rng, region, n, p_shift)
             inner = rng.biased(n, min(0.95, region.p + 0.2))
-            for i in range(n):
-                memory[segment.base + i] = outer[i] | (inner[i] << 1)
+            put(segment, [outer[i] | (inner[i] << 1) for i in range(n)])
         elif kind == "freq_hammock":
             outer = _behavior_bits(rng, region, n, p_shift)
             rare = rng.biased(n, region.rare_prob)
-            for i in range(n):
-                memory[segment.base + i] = outer[i] | (rare[i] << 1)
+            put(segment, [outer[i] | (rare[i] << 1) for i in range(n)])
         elif kind in ("diverge_loop", "long_loop"):
             mean = max(1.0, region.mean_iters * iter_scale)
             if region.trip_kind == "geometric":
@@ -500,17 +507,14 @@ def fill_memory(spec, segments, seed, p_shift=0.0, iter_scale=1.0):
                     t if (i // block) % period == 0 else 0
                     for i, t in enumerate(trips)
                 ]
-            for i, t in enumerate(trips):
-                memory[segment.base + i] = t
+            put(segment, trips)
         elif kind == "memory":
-            chain = rng.pointer_chain(segment.words, segment.words)
-            for i, nxt in enumerate(chain):
-                memory[segment.base + i] = nxt
+            put(segment, rng.pointer_chain(segment.words, segment.words))
         elif kind == "compute":
             pass
         else:  # pragma: no cover - region kinds are closed
             raise WorkloadError(f"no input generator for {kind!r}")
-    return memory
+    return MemoryImage(addresses, values)
 
 
 def _behavior_bits(rng, region, n, p_shift):

@@ -28,6 +28,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.emulator.state import MemoryImage
 from repro.errors import WorkloadError
 from repro.workloads.generator import (
     BenchmarkSpec,
@@ -51,7 +52,7 @@ class Workload:
     input_set: str
     spec: BenchmarkSpec
     program: object
-    memory: dict
+    memory: MemoryImage
     max_instructions: int
 
 

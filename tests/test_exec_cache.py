@@ -1,10 +1,12 @@
 """The persistent artifact cache: keys, invalidation, corruption
 tolerance, and the single-pass artifact-build guarantee."""
 
+import dataclasses
 import os
 
 import pytest
 
+from repro.emulator import execute
 from repro.exec import artifact_cache
 from repro.experiments import runner
 from repro.obs import MetricsRegistry, telemetry
@@ -51,6 +53,52 @@ class TestKeys:
         assert default != small
         assert "PerceptronPredictor" in default
         assert "JRSConfidenceEstimator" in default
+
+
+class TestMemoryImageKeys:
+    """Compact memory images keep every artifact-cache key unchanged."""
+
+    #: ``artifact_key`` of mcf/train at scale 0.05 as computed when
+    #: workload memory was still a plain ``dict``.  A change here
+    #: orphans every existing cache entry.
+    MCF_TRAIN_KEY = (
+        "a3bfe8494a9f11b2538c2bb7f8583df4f4b155ceacee1d5f16ddadbc427b2e42"
+    )
+
+    def test_key_is_pinned(self):
+        assert _key("mcf", "train", 0.05) == self.MCF_TRAIN_KEY
+
+    def test_fingerprint_matches_the_dict_form(self):
+        image = load_benchmark("mcf", scale=0.05).memory
+        assert artifact_cache.memory_fingerprint(image) \
+            == artifact_cache.memory_fingerprint(dict(image.items()))
+
+    def test_cache_filled_by_dict_based_code_still_hits(self):
+        # Fill the cache the way the dict-based code did: emulate with
+        # a plain dict and key the entry by its fingerprint.
+        workload = load_benchmark("gzip", scale=SCALE)
+        legacy = dataclasses.replace(
+            workload, memory=dict(workload.memory.items())
+        )
+        profiler = Profiler()
+        collector = profiler.collector()
+        trace, result = execute(
+            legacy.program, memory=legacy.memory,
+            max_instructions=legacy.max_instructions,
+            on_branch=collector.on_branch, compact=True,
+        )
+        artifact_cache.store(
+            artifact_cache.artifact_key(legacy, profiler.fingerprint()),
+            trace, collector.finish(result),
+        )
+        runner.clear_cache()
+        registry = MetricsRegistry()
+        with telemetry(metrics=registry):
+            artifacts = runner.get_artifacts("gzip", scale=SCALE)
+        assert registry.counter("cache_disk_hits_total").value == 1
+        assert "emulator_runs_total" not in registry
+        assert list(artifacts.trace.rows()) == list(trace.rows())
+        runner.clear_cache()
 
 
 class TestRoundtrip:

@@ -1,10 +1,13 @@
 """The parallel experiment engine: plan-order gathering, telemetry
 merging, and bit-identical serial-vs-parallel experiment outputs."""
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.exec import Job, JobError, default_jobs, execute, \
-    execute_starmap, resolve_jobs
+    execute_starmap, resolve_jobs, session
 from repro.experiments import (
     ablations,
     fig5,
@@ -86,6 +89,97 @@ class TestEngineBasics:
     def test_job_label(self):
         assert Job(_square, 1).label == "_square"
         assert Job(_square, 1, label="cell").label == "cell"
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _die(code):
+    os._exit(code)
+
+
+class TestSessionPool:
+    """One pool of long-lived workers serves every plan of a session."""
+
+    def test_plans_in_one_session_share_workers(self):
+        with session(2) as pool:
+            first = execute([Job(_pid, i) for i in range(6)], jobs=2)
+            workers = pool.pids()
+            second = execute([Job(_pid, i) for i in range(6)], jobs=2)
+            assert pool.pids() == workers
+        assert len(set(workers)) == 2
+        assert os.getpid() not in workers
+        assert set(first) <= set(workers)
+        assert set(second) <= set(workers)
+
+    def test_jobs_land_on_their_key_owner(self):
+        with session(2):
+            first = execute(
+                [Job(_pid, 0, key="a"), Job(_pid, 1, key="b")], jobs=2
+            )
+            # Reversed plan order: without affinity the first idle
+            # worker would take "b".
+            second = execute(
+                [Job(_pid, 2, key="b"), Job(_pid, 3, key="a")], jobs=2
+            )
+        assert first[0] != first[1]
+        assert second == [first[1], first[0]]
+
+    def test_idle_worker_steals_an_owned_key(self):
+        with session(2):
+            pids = execute(
+                [Job(_pid, i, key="a") for i in range(2)], jobs=2
+            )
+        assert pids[0] != pids[1]
+
+    def test_drivers_in_one_session_match_serial(self):
+        runner.clear_cache()
+        serial = (fig5.run(scale=SCALE, benchmarks=BENCH, jobs=1),
+                  fig10.run(scale=SCALE, benchmarks=BENCH, jobs=1))
+        runner.clear_cache()
+        with session(2):
+            pooled = (fig5.run(scale=SCALE, benchmarks=BENCH, jobs=2),
+                      fig10.run(scale=SCALE, benchmarks=BENCH, jobs=2))
+        runner.clear_cache()
+        assert pooled == serial
+        assert fig10.format_result(pooled[1]) \
+            == fig10.format_result(serial[1])
+
+    def test_dead_worker_fails_its_job_and_is_replaced(self):
+        with session(2) as pool:
+            with pytest.raises(JobError) as excinfo:
+                execute([Job(_square, 2), Job(_die, 3, label="cell:dies")],
+                        jobs=2)
+            assert excinfo.value.label == "cell:dies"
+            assert "died" in str(excinfo.value)
+            assert execute([Job(_square, i) for i in range(4)], jobs=2) \
+                == [0, 1, 4, 9]
+            assert len(pool.pids()) == 2
+
+    def test_no_worker_outlives_its_session(self):
+        with session(2) as pool:
+            execute([Job(_square, i) for i in range(4)], jobs=2)
+            workers = pool.pids()
+        assert multiprocessing.active_children() == []
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        # A call outside any session closes the pool it opened.
+        execute([Job(_square, i) for i in range(4)], jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_serial_plans_never_fork(self):
+        with session(2) as pool:
+            assert execute([Job(_pid, i) for i in range(3)], jobs=1) \
+                == [os.getpid()] * 3
+            assert pool.pids() == []
+        # A size-1 session runs even a jobs>1 plan inline.
+        for size in (None, 1):
+            with session(size) as pool:
+                assert execute([Job(_pid, i) for i in range(3)], jobs=2) \
+                    == [os.getpid()] * 3
+                assert pool.pids() == []
 
 
 class TestTelemetryMerging:

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -21,7 +22,8 @@ from repro.campaign.spec import DEFAULT_CELL, content_hash, run_cell
 from repro.obs.context import telemetry
 from repro.obs.explain import validate_explain
 from repro.serve.app import ServeApp, SingleFlight
-from repro.serve.daemon import build_server
+from repro.serve.daemon import LINGER_BYTES, MAX_BODY_BYTES, \
+    build_server
 
 SCALE = 0.1
 BENCH = "gzip"
@@ -321,6 +323,46 @@ class TestHTTP:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+    def _raw_post(self, server, length, body=b""):
+        """POST with a raw ``Content-Length`` (and ``body``) on a
+        keep-alive socket; returns the reply's status line (or times
+        out)."""
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /v1/compile HTTP/1.1\r\n"
+                b"Host: localhost\r\n"
+                b"Connection: keep-alive\r\n"
+                b"Content-Length: " + str(length).encode() + b"\r\n"
+                b"\r\n" + body
+            )
+            reply = b""
+            while b"\r\n" not in reply:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        return reply.split(b"\r\n", 1)[0]
+
+    def test_negative_content_length_is_400_without_blocking(
+            self, server):
+        # rfile.read(-1) would block until the client hangs up; the
+        # socket timeout turns such a hang into a test failure.
+        assert self._raw_post(server, -1) \
+            == b"HTTP/1.1 400 Bad Request"
+
+    # With a body larger than the loopback socket buffers (within the
+    # drain) the client is still sending when the server closes; the
+    # close must not reset the connection, which would surface as
+    # ConnectionResetError/BrokenPipeError instead of the reply.
+    @pytest.mark.parametrize("body_bytes", [0, LINGER_BYTES * 3 // 4])
+    def test_oversized_content_length_is_413(self, server, body_bytes):
+        body = b"x" * body_bytes
+        status = self._raw_post(
+            server, max(len(body), MAX_BODY_BYTES + 1), body=body
+        )
+        assert status.startswith(b"HTTP/1.1 413 ")
 
     def test_unknown_path_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -9,6 +9,7 @@ the campaign ``--resources`` annotation path.
 """
 
 import json
+import os
 import time
 
 import pytest
@@ -322,6 +323,22 @@ class TestProfileCli:
                      "-o", str(json_path)]) == 0
         data = json.loads(json_path.read_text())
         assert data["workload"] == "gzip"
+
+    def test_cli_accepts_cache_dir(self, tmp_path, monkeypatch, capsys):
+        from repro.exec import artifact_cache
+        from repro.experiments import runner
+        from repro.obs.profile_cli import main
+
+        # The flag installs a process-wide override; undo it on exit.
+        monkeypatch.setattr(artifact_cache, "_dir_override", None)
+        runner.clear_cache()
+        cache = tmp_path / "profile-cache"
+        assert main(["gzip", "--scale", "0.2",
+                     "--cache-dir", str(cache)]) == 0
+        assert "simulator hotspots" in capsys.readouterr().out
+        assert artifact_cache.cache_dir() == str(cache)
+        assert any(entry.endswith(artifact_cache.ENTRY_SUFFIX)
+                   for entry in os.listdir(cache))
 
     def test_profile_log_torn_tail(self, tmp_path):
         from repro.obs.profile_cli import (

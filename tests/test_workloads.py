@@ -1,10 +1,12 @@
 """Tests for the synthetic workload generator and benchmark suite."""
 
+import pickle
+
 import pytest
 
 from repro.cfg import build_cfgs, find_natural_loops
 from repro.core import DivergeKind, SelectionConfig, select_diverge_branches
-from repro.emulator import execute
+from repro.emulator import ArchState, MemoryImage, execute
 from repro.errors import WorkloadError
 from repro.profiling import Profiler
 from repro.workloads import (
@@ -228,3 +230,80 @@ class TestSuite:
 
     def test_specs_have_notes(self):
         assert all(spec.note for spec in BENCHMARK_SPECS.values())
+
+
+class TestMemoryImage:
+    """Workload input memory is an immutable, compact ``MemoryImage``."""
+
+    def _image(self):
+        return load_benchmark("mcf", scale=0.05).memory
+
+    def test_workloads_carry_an_image_in_address_order(self):
+        image = self._image()
+        assert isinstance(image, MemoryImage)
+        addresses = list(image)
+        assert addresses == sorted(set(addresses))
+        assert len(image) == len(addresses) > 100_000
+
+    def test_mapping_views_agree(self):
+        image = self._image()
+        as_dict = dict(image.items())
+        assert image == as_dict and as_dict == image
+        assert list(image.items()) == sorted(as_dict.items())
+        assert sum(image.values()) == sum(as_dict.values())
+        first = next(iter(image))
+        assert image[first] == as_dict[first]
+        assert image.get(-1) is None
+        with pytest.raises(KeyError):
+            image[-1]
+
+    def test_arch_state_round_trips_the_image(self):
+        image = self._image()
+        state = ArchState(memory=image)
+        assert isinstance(state.memory, dict)
+        assert MemoryImage.from_dict(state.memory) == image
+        first = next(iter(image))
+        state.store(first, image[first] + 1)
+        assert image[first] != state.load(first)   # the image is a copy
+        assert MemoryImage.from_dict(state.memory) != image
+
+    def test_image_is_read_only(self):
+        image = self._image()
+        first = next(iter(image))
+        with pytest.raises(TypeError):
+            image[first] = 7
+        with pytest.raises(TypeError):
+            del image[first]
+        with pytest.raises(AttributeError):
+            image._values = None
+        with pytest.raises(AttributeError):
+            image.extra = 1
+
+    def test_constructor_rejects_unsorted_or_ragged_columns(self):
+        with pytest.raises(ValueError):
+            MemoryImage([2, 1], [0, 0])
+        with pytest.raises(ValueError):
+            MemoryImage([1, 1], [0, 0])
+        with pytest.raises(ValueError):
+            MemoryImage([1, 2], [0])
+
+    def test_image_pickles(self):
+        image = self._image()
+        assert pickle.loads(pickle.dumps(image)) == image
+
+    def test_meld_equivalence_reports_diverging_memory_words(self):
+        from repro.experiments.meldcompare import (
+            FinalState,
+            assert_equivalent,
+        )
+
+        state = ArchState(memory={4: 1, 9: 2, 12: 3})
+        frozen = FinalState(
+            tuple(state.regs), MemoryImage.from_dict(state.memory)
+        )
+        assert_equivalent("toy", frozen, state)
+        state.store(9, 5)
+        state.store(30, 1)
+        with pytest.raises(RuntimeError,
+                           match=r"memory words \[9, 30\]"):
+            assert_equivalent("toy", frozen, state)
