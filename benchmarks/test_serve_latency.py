@@ -6,10 +6,11 @@ decode tables all built on demand) against warm repeats that reuse the
 daemon's process state.  The cold-vs-warm ratio *is* the subsystem's
 reason to exist, so it is tracked in
 ``benchmarks/results/BENCH_serve.json`` alongside the warm p50 and
-request throughput, and the ``*_per_sec`` key feeds the performance
+request throughput, and the ``*_per_sec`` keys feed the performance
 trajectory gate.
 """
 
+import http.client
 import json
 import os
 import pathlib
@@ -74,13 +75,16 @@ def server():
         artifact_cache.set_disabled(None)
 
 
-def _post_compile(srv):
-    host, port = srv.server_address[:2]
-    body = json.dumps({
+def _compile_body():
+    return json.dumps({
         "benchmark": "gzip", "scale": bench_scale(),
     }).encode("utf-8")
+
+
+def _post_compile(srv):
+    host, port = srv.server_address[:2]
     request = urllib.request.Request(
-        f"http://{host}:{port}/v1/compile", data=body,
+        f"http://{host}:{port}/v1/compile", data=_compile_body(),
         headers={"Content-Type": "application/json"}, method="POST",
     )
     with urllib.request.urlopen(request) as response:
@@ -107,6 +111,35 @@ def test_cold_then_warm_compile_latency(server, benchmark):
     # The cold/warm gap is what holding warm process state buys; a
     # conservative floor so a cache regression trips CI loudly.
     assert cold_seconds / p50 > 2.0
+
+
+def test_keepalive_warm_compile_latency(server, benchmark):
+    """Warm compiles on one keep-alive ``http.client`` connection.
+
+    The urllib test above opens a connection per request, and Linux
+    ACKs at once on a new connection, so it cannot see a response that
+    is split across writes wait ~40 ms for the client's delayed ACK
+    (Nagle's algorithm).  Reusing one connection, as real clients do,
+    exposes that stall.
+    """
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=60)
+    body = _compile_body()
+
+    def post():
+        conn.request("POST", "/v1/compile", body=body,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 200
+        return response.read()
+
+    try:
+        post()  # warm up (cold if this test runs alone)
+        benchmark.pedantic(post, rounds=WARM_ROUNDS, iterations=1)
+    finally:
+        conn.close()
+    _RESULTS["serve_keepalive_warm_requests_per_sec"] = \
+        1.0 / benchmark.stats.stats.mean
 
 
 def test_traced_warm_compile_latency(tmp_path_factory, benchmark):

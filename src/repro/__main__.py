@@ -88,6 +88,7 @@ from repro.obs import (
     telemetry,
     write_manifest,
 )
+from repro.workloads import scale_arg
 
 ARTIFACTS = {
     "table1": table1,
@@ -180,7 +181,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--scale",
-        type=float,
+        type=scale_arg,
         default=1.0,
         help="trace-length multiplier (1.0 ≈ 60k insts per benchmark)",
     )

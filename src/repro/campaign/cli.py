@@ -46,6 +46,7 @@ from repro.campaign.scheduler import (
 from repro.campaign.spec import CampaignSpec
 from repro.obs import tracectx
 from repro.obs.spans import span
+from repro.workloads import scale_arg
 
 #: Campaign directories live here unless ``--results-dir`` overrides.
 DEFAULT_RESULTS_DIR = os.path.join("results", "campaigns")
@@ -125,7 +126,7 @@ def _build_parser():
     )
     run.add_argument("--name", default=None,
                      help="campaign name (default: the spec's name)")
-    run.add_argument("--scale", type=float, default=None,
+    run.add_argument("--scale", type=scale_arg, default=None,
                      help="trace-length multiplier override")
     run.add_argument("--benchmarks", default="",
                      help="comma-separated benchmark subset override")

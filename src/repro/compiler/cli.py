@@ -52,6 +52,7 @@ def _print_transform_diff(original, state):
 def main(argv=None):
     from repro.compiler import registry
     from repro.compiler.pipeline import format_spec, parse_spec
+    from repro.workloads import scale_arg
 
     parser = argparse.ArgumentParser(
         prog="python -m repro compile",
@@ -73,7 +74,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--scale",
-        type=float,
+        type=scale_arg,
         default=1.0,
         help="trace-length multiplier (default: 1.0)",
     )

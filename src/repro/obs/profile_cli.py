@@ -279,6 +279,8 @@ def _resolve_config(args, parser):
 
 
 def main(argv=None):
+    from repro.workloads import scale_arg
+
     parser = argparse.ArgumentParser(
         prog="python -m repro profile",
         description=(
@@ -298,7 +300,7 @@ def main(argv=None):
              "(e.g. 'exact,freq,short,ret,loop,cost:edge')",
     )
     parser.add_argument(
-        "--scale", type=float, default=1.0,
+        "--scale", type=scale_arg, default=1.0,
         help="trace-length multiplier (default 1.0)",
     )
     parser.add_argument(

@@ -25,6 +25,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs.tracectx import TRACE_HEADER
 from repro.serve.app import ServeApp
+from repro.workloads import scale_arg
 
 #: Default listen address.
 DEFAULT_HOST = "127.0.0.1"
@@ -44,6 +45,12 @@ MAX_BODY_BYTES = 1 << 20
 #: ``LINGER_TIMEOUT_S`` for each, before it closes the connection.
 LINGER_BYTES = 8 * MAX_BODY_BYTES
 LINGER_TIMEOUT_S = 1.0
+
+#: Longest wait for a client's next bytes, in seconds: a request line,
+#: headers, or a body shorter than its ``Content-Length``.  A
+#: connection that stays silent this long is closed, which also bounds
+#: how long an idle keep-alive client can hold up the shutdown drain.
+READ_TIMEOUT_S = 30.0
 
 
 class ServeServer(ThreadingHTTPServer):
@@ -86,12 +93,34 @@ class RequestHandler(BaseHTTPRequestHandler):
         if self.server.verbose:
             super().log_message(format, *args)
 
-    def _send(self, status, body, content_type="application/json"):
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def setup(self):
+        # Read at connection time, so the module constant is the knob.
+        self.timeout = READ_TIMEOUT_S
+        super().setup()
+
+    def _send(self, status, body, content_type="application/json",
+              headers=()):
+        """Send a whole response (status line, headers, ``body``) in
+        one ``wfile.write``.
+
+        The socket writer is unbuffered, so the stdlib's
+        ``end_headers()`` followed by a body write puts the response
+        on the wire as two segments.  On a keep-alive connection
+        Nagle's algorithm then holds the second segment until the
+        client's delayed ACK of the first, about 40 ms later.
+        """
+        self.log_request(status, len(body))
+        lines = [
+            f"{self.protocol_version} {status} "
+            f"{self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+        ]
+        lines += [f"{name}: {value}" for name, value in headers]
+        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        self.wfile.write(head + body)
 
     def _error(self, status, message):
         body = (json.dumps({"error": message}, sort_keys=True) + "\n") \
@@ -109,7 +138,6 @@ class RequestHandler(BaseHTTPRequestHandler):
         """
         self.close_connection = True
         try:
-            self.wfile.flush()
             self.connection.shutdown(socket.SHUT_WR)
             self.connection.settimeout(LINGER_TIMEOUT_S)
             left = LINGER_BYTES
@@ -185,13 +213,10 @@ class RequestHandler(BaseHTTPRequestHandler):
         status, response, meta = app.handle_request(
             endpoint, body, traceparent=self.headers.get(TRACE_HEADER)
         )
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(response)))
-        if meta.get("traceparent"):
-            self.send_header(TRACE_HEADER, meta["traceparent"])
-        self.end_headers()
-        self.wfile.write(response)
+        traceparent = meta.get("traceparent")
+        self._send(status, response,
+                   headers=[(TRACE_HEADER, traceparent)] if traceparent
+                   else ())
         app.log_access("POST", self.path, status, meta["duration_ms"],
                        meta=meta)
 
@@ -234,7 +259,7 @@ def main(argv=None):
     parser.add_argument("--warm", default="", metavar="BENCHMARKS",
                         help="comma-separated benchmarks to pre-build "
                              "artifacts for before serving")
-    parser.add_argument("--warm-scale", type=float, default=1.0,
+    parser.add_argument("--warm-scale", type=scale_arg, default=1.0,
                         metavar="S",
                         help="trace scale used by --warm (default 1.0)")
     parser.add_argument("--sim-engine",

@@ -24,6 +24,8 @@ from repro.workloads.suite import (
     BENCHMARK_SPECS,
     Workload,
     load_benchmark,
+    scale_arg,
+    validate_scale,
 )
 
 __all__ = [
@@ -35,4 +37,6 @@ __all__ = [
     "BENCHMARK_SPECS",
     "Workload",
     "load_benchmark",
+    "scale_arg",
+    "validate_scale",
 ]

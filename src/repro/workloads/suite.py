@@ -24,6 +24,8 @@ scaled by 1.25 — enough to move some selections, as in Figure 10,
 without changing program character).
 """
 
+import argparse
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Dict
@@ -258,14 +260,44 @@ def _per_iteration_cost(name):
     return cost
 
 
+def validate_scale(scale):
+    """``scale`` as a float; :class:`WorkloadError` unless it is a
+    finite number >= 0.
+
+    A negative scale asks for a negative iteration count (the program
+    never halts within its budget) and an infinite one overflows it.
+    """
+    try:
+        value = float(scale)
+    except (TypeError, ValueError):
+        raise WorkloadError(f"scale must be a number, got {scale!r}") \
+            from None
+    if not math.isfinite(value) or value < 0:
+        raise WorkloadError(
+            f"scale must be a finite number >= 0, got {scale!r}"
+        )
+    return value
+
+
+def scale_arg(text):
+    """``argparse`` type for ``--scale``: a bad value is a usage error
+    (exit 2), not a traceback."""
+    try:
+        return validate_scale(text)
+    except WorkloadError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def load_benchmark(name, input_set="reduced", scale=1.0):
     """Instantiate a benchmark with one of its input sets.
 
     ``scale`` multiplies the target dynamic length (run-length knob for
-    quick tests vs full experiments).  The outer iteration count is
-    calibrated from a short measurement run so every benchmark lands
-    near its ``target_dynamic`` regardless of region mix.
+    quick tests vs full experiments); see :func:`validate_scale`.  The
+    outer iteration count is calibrated from a short measurement run so
+    every benchmark lands near its ``target_dynamic`` regardless of
+    region mix.
     """
+    scale = validate_scale(scale)
     if name not in BENCHMARK_SPECS:
         raise WorkloadError(f"unknown benchmark {name!r}")
     if input_set not in INPUT_SETS:

@@ -3,11 +3,13 @@ coalescing, the HTTP surface, engine resolution under threads, and
 graceful shutdown."""
 
 import contextlib
+import http.client
 import io
 import json
 import os
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -21,6 +23,7 @@ from repro import __main__ as repro_main
 from repro.campaign.spec import DEFAULT_CELL, content_hash, run_cell
 from repro.obs.context import telemetry
 from repro.obs.explain import validate_explain
+from repro.serve import daemon
 from repro.serve.app import ServeApp, SingleFlight
 from repro.serve.daemon import LINGER_BYTES, MAX_BODY_BYTES, \
     build_server
@@ -47,6 +50,35 @@ def app():
     application = ServeApp()
     with telemetry(metrics=application.registry):
         yield application
+
+
+@contextlib.contextmanager
+def _serving(application):
+    """A daemon for ``application`` on an ephemeral loopback port."""
+    srv = build_server(("127.0.0.1", 0), application)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+
+
+class _WriteRecorder:
+    """Stands in for a handler's ``wfile``; records every write."""
+
+    def __init__(self, wfile, writes):
+        self._wfile = wfile
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._wfile.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._wfile, name)
 
 
 class TestByteIdentity:
@@ -259,13 +291,8 @@ class TestSingleFlight:
 class TestHTTP:
     @pytest.fixture
     def server(self, app):
-        srv = build_server(("127.0.0.1", 0), app)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        yield srv
-        srv.shutdown()
-        srv.server_close()
-        thread.join(timeout=5)
+        with _serving(app) as srv:
+            yield srv
 
     def _url(self, server, path):
         host, port = server.server_address[:2]
@@ -368,6 +395,133 @@ class TestHTTP:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(self._url(server, "/nope"))
         assert excinfo.value.code == 404
+
+    @pytest.mark.parametrize("scale", [-1, float("inf"), "inf", "nan"])
+    def test_bad_scale_is_400(self, server, scale):
+        # float("inf") goes over the wire as the JSON token Infinity.
+        status, body = self._post(server, "compile", {
+            "benchmark": BENCH, "scale": scale,
+        })
+        assert status == 400
+        assert "scale" in json.loads(body)["error"]
+
+    def _request(self, server, method, path, body=None):
+        """One request on a fresh ``http.client`` connection."""
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request(method, path, body=body)
+            response = conn.getresponse()
+            response.read()
+            return response.status
+        finally:
+            conn.close()
+
+    @pytest.fixture
+    def recorded(self, app, monkeypatch):
+        """A daemon whose handlers record each ``wfile.write``."""
+        writes = []
+
+        class RecordingHandler(daemon.RequestHandler):
+            def setup(self):
+                super().setup()
+                self.wfile = _WriteRecorder(self.wfile, writes)
+
+        monkeypatch.setattr(daemon, "RequestHandler", RecordingHandler)
+        with _serving(app) as srv:
+            yield srv, writes
+
+    @pytest.mark.parametrize("case,expected", [
+        ("compile", 200), ("bad-json", 400), ("unknown-path", 404),
+        ("oversized", 413), ("healthz", 200), ("metrics", 200),
+    ])
+    def test_each_response_is_one_write(self, recorded, case, expected):
+        # Headers and body in separate writes would leave the body to
+        # Nagle's algorithm, waiting for the client's delayed ACK.
+        server, writes = recorded
+        compile_body = json.dumps({"benchmark": BENCH,
+                                   "scale": SCALE}).encode("utf-8")
+        if case == "oversized":
+            status = int(self._raw_post(server, MAX_BODY_BYTES + 1)
+                         .split()[1])
+        else:
+            method, path, body = {
+                "compile": ("POST", "/v1/compile", compile_body),
+                "bad-json": ("POST", "/v1/compile", b"{not json"),
+                "unknown-path": ("GET", "/nope", None),
+                "healthz": ("GET", "/healthz", None),
+                "metrics": ("GET", "/metrics", None),
+            }[case]
+            status = self._request(server, method, path, body)
+        assert status == expected
+        assert len(writes) == 1
+        head, _, body = writes[0].partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % expected)
+        length = [line for line in head.split(b"\r\n")
+                  if line.startswith(b"Content-Length: ")]
+        assert length == [b"Content-Length: %d" % len(body)]
+
+    def test_keepalive_requests_are_not_delayed(self, server):
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        compile_body = json.dumps({"benchmark": BENCH,
+                                   "scale": SCALE}).encode("utf-8")
+        requests = [
+            ("GET", "/healthz", None, 200),
+            ("POST", "/v1/compile", compile_body, 200),
+            ("GET", "/nope", None, 404),
+        ]
+
+        def send(method, path, body, expected):
+            started = time.perf_counter()
+            conn.request(method, path, body=body)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == expected
+            return time.perf_counter() - started
+
+        try:
+            send(*requests[1])  # the cold compile is not timed
+            seconds = [send(*requests[i % len(requests)])
+                       for i in range(20)]
+        finally:
+            conn.close()
+        # Nagle's algorithm against a delayed ACK costs ~40 ms per
+        # response; the work itself takes a few ms at most.
+        assert statistics.median(seconds) < 0.020
+
+    def test_read_timeout_closes_silent_connections(self, app,
+                                                    monkeypatch):
+        monkeypatch.setattr(daemon, "READ_TIMEOUT_S", 0.5)
+        srv = build_server(("127.0.0.1", 0), app)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        address = srv.server_address[:2]
+        try:
+            with socket.create_connection(address, timeout=5) as short, \
+                    socket.create_connection(address, timeout=5) as idle:
+                # A keep-alive client that goes quiet after one reply.
+                idle.sendall(b"GET /healthz HTTP/1.1\r\n"
+                             b"Host: localhost\r\n\r\n")
+                assert idle.recv(4096).startswith(b"HTTP/1.1 200 ")
+                # A body 90 bytes shorter than its Content-Length.
+                short.sendall(b"POST /v1/compile HTTP/1.1\r\n"
+                              b"Host: localhost\r\n"
+                              b"Content-Length: 100\r\n\r\n"
+                              + b" " * 10)
+                assert short.recv(4096) == b""  # closed, no reply
+                # Neither client closes its side; the drain must
+                # still finish.
+                closer = threading.Thread(
+                    target=lambda: (srv.shutdown(), srv.server_close())
+                )
+                closer.start()
+                closer.join(timeout=5)
+                assert not closer.is_alive()
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=5)
 
 
 class TestEngineResolution:

@@ -16,6 +16,7 @@ from repro.workloads import (
     Region,
     build_program,
     load_benchmark,
+    validate_scale,
 )
 from repro.workloads.behaviors import BehaviorRNG
 from repro.workloads.generator import fill_memory
@@ -230,6 +231,31 @@ class TestSuite:
 
     def test_specs_have_notes(self):
         assert all(spec.note for spec in BENCHMARK_SPECS.values())
+
+    @pytest.mark.parametrize("scale", [
+        -1, -1e-9, float("inf"), float("-inf"), float("nan"), "inf",
+        "nan", "big", None,
+    ])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(WorkloadError, match="scale"):
+            load_benchmark("gzip", scale=scale)
+
+    @pytest.mark.parametrize("scale,expected", [
+        (0, 0.0), (0.25, 0.25), ("0.5", 0.5), (2, 2.0),
+    ])
+    def test_good_scale_accepted(self, scale, expected):
+        assert validate_scale(scale) == expected
+
+    @pytest.mark.parametrize("value", ["-1", "inf", "nan", "x"])
+    def test_cli_rejects_bad_scale_as_usage_error(self, value, capsys):
+        from repro import __main__ as repro_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main.main(["fig5", "--scale", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --scale: scale must be" in err
+        assert "Traceback" not in err
 
 
 class TestMemoryImage:
