@@ -19,8 +19,9 @@ from repro.emulator import execute
 from repro.exec import artifact_cache
 from repro.experiments import fig6, runner
 from repro.profiling import Profiler
-from repro.uarch import TimingSimulator, VectorizedTimingSimulator
+from repro.uarch import TimingSimulator
 from repro.workloads import load_benchmark
+from tests._reference_sim import ReferenceSimulator
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -126,53 +127,53 @@ def test_cache_warm_load(benchmark, workload):
     _record("cache_warm_load", benchmark)
 
 
-def test_simulator_compact_trace(benchmark, workload):
-    """Timing simulation straight off the parallel-array trace.
+def test_simulator_reference(benchmark, workload):
+    """The frozen scalar oracle (``tests/_reference_sim.py``).
 
-    Also derives ``sim.insts_per_sec`` — retired instructions over the
-    fastest round's simulate time — the headline throughput figure the
-    trajectory gate tracks (``engine.sim.insts_per_sec``).
+    Timed only as the yardstick for the batch replay's speedup; its
+    throughput is test-side code, so it is recorded as
+    ``reference_insts_per_s`` and kept out of the trajectory gate.
     """
     trace, _ = _single_pass(workload)
     stats = benchmark.pedantic(
-        lambda: TimingSimulator(workload.program).run(trace),
+        lambda: ReferenceSimulator(workload.program).run(trace),
         rounds=3,
         iterations=1,
     )
-    _record("simulator_compact_trace", benchmark)
-    _TOP["sim.insts_per_sec"] = (
+    _record("simulator_reference", benchmark)
+    _TOP["reference_insts_per_s"] = (
         stats.retired_instructions / benchmark.stats.stats.min
     )
 
 
 def test_simulator_vectorized(benchmark, workload):
-    """The numpy batch-replay engine on the same trace.
+    """The simulator's batch replay on the same trace.
 
     Emits ``sim_vectorized.insts_per_sec`` (trajectory-gated as
-    ``engine.sim_vectorized.insts_per_sec``) and asserts the
-    vectorized/scalar speedup stays at or above 5x — the optimization's
-    contract, per-round construction included.  Runs after the scalar
-    benchmark so ``sim.insts_per_sec`` is already recorded.
+    ``engine.sim_vectorized.insts_per_sec``) and asserts the speedup
+    over the scalar oracle stays at or above 5x — the batch replay's
+    contract, per-round construction included.  Runs after the oracle
+    benchmark so ``reference_insts_per_s`` is already recorded.
     """
     trace, _ = _single_pass(workload)
-    scalar_stats = TimingSimulator(workload.program).run(trace)
+    reference_stats = ReferenceSimulator(workload.program).run(trace)
     stats = benchmark.pedantic(
-        lambda: VectorizedTimingSimulator(workload.program).run(trace),
+        lambda: TimingSimulator(workload.program).run(trace),
         rounds=3,
         iterations=1,
     )
-    assert stats.as_dict() == scalar_stats.as_dict()
+    assert stats.as_dict() == reference_stats.as_dict()
     _record("simulator_vectorized", benchmark)
     insts_per_sec = (
         stats.retired_instructions / benchmark.stats.stats.min
     )
     _TOP["sim_vectorized.insts_per_sec"] = insts_per_sec
-    scalar_insts_per_sec = _TOP.get("sim.insts_per_sec")
-    if scalar_insts_per_sec:
-        speedup = insts_per_sec / scalar_insts_per_sec
+    reference_insts_per_s = _TOP.get("reference_insts_per_s")
+    if reference_insts_per_s:
+        speedup = insts_per_sec / reference_insts_per_s
         _TOP["sim_vectorized_speedup"] = speedup
         assert speedup >= 5.0, (
-            f"vectorized engine must be >= 5x scalar, got "
+            f"batch replay must be >= 5x the scalar oracle, got "
             f"{speedup:.2f}x"
         )
 

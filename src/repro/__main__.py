@@ -237,21 +237,8 @@ def main(argv=None):
         help="write a run manifest (config, git rev, phase timings, "
              f"metrics); 'all' defaults to {DEFAULT_ALL_MANIFEST}",
     )
-    parser.add_argument(
-        "--sim-engine",
-        choices=("auto", "scalar", "vectorized"),
-        default=None,
-        help="timing-simulator engine: 'vectorized' is the numpy "
-             "batch-replay fast path, 'auto' (the default) uses it "
-             "whenever it is bit-identical to 'scalar' "
-             "(see docs/performance.md)",
-    )
     args = parser.parse_args(argv)
 
-    if args.sim_engine is not None:
-        from repro.uarch import set_default_engine
-
-        set_default_engine(args.sim_engine)
     if args.cache_dir:
         artifact_cache.set_cache_dir(args.cache_dir)
     if args.no_disk_cache:
@@ -346,7 +333,6 @@ def main(argv=None):
                 "benchmarks": args.benchmarks or "all",
                 "trace": args.trace,
                 "metrics": args.metrics,
-                "sim_engine": args.sim_engine or "auto",
             },
             benchmarks=benchmarks,
             scale=args.scale,

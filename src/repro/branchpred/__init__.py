@@ -31,16 +31,19 @@ __all__ = [
 ]
 
 
+#: Predictor kinds by the name a processor config uses.
+PREDICTORS = {
+    "perceptron": PerceptronPredictor,
+    "gshare": GsharePredictor,
+    "bimodal": BimodalPredictor,
+    "tournament": TournamentPredictor,
+}
+
+
 def make_predictor(kind="perceptron", **kwargs):
-    """Factory used by config files: ``perceptron``/``gshare``/``bimodal``."""
-    predictors = {
-        "perceptron": PerceptronPredictor,
-        "gshare": GsharePredictor,
-        "bimodal": BimodalPredictor,
-        "tournament": TournamentPredictor,
-    }
+    """Factory used by config files: one of :data:`PREDICTORS`."""
     try:
-        cls = predictors[kind]
+        cls = PREDICTORS[kind]
     except KeyError:
         raise ValueError(f"unknown predictor kind {kind!r}") from None
     return cls(**kwargs)

@@ -209,12 +209,6 @@ def _add_exec_args(sub):
     sub.add_argument("--max-cells", type=int, default=None, metavar="N",
                      help="stop after N completed cells (for smoke "
                           "tests of resume)")
-    sub.add_argument("--sim-engine",
-                     choices=("auto", "scalar", "vectorized"),
-                     default=None,
-                     help="timing-simulator engine for cell workers "
-                          "(default: process default / auto; results "
-                          "are engine-independent)")
     sub.add_argument("--shards", type=int, default=None, metavar="N",
                      help="split the spec's cells across N shard "
                           "journals by content-hashed cell ID; this "
@@ -368,7 +362,6 @@ def _execute(spec, directory, args, state, backend):
             max_attempts=args.retries,
             backoff=args.backoff,
             cell_timeout=args.timeout,
-            sim_engine=args.sim_engine,
             backend=backend,
         )
         summary = scheduler.run(state, max_cells=args.max_cells)

@@ -69,7 +69,7 @@ class Scheduler:
     def __init__(self, spec, journal, jobs=1,
                  max_attempts=DEFAULT_MAX_ATTEMPTS,
                  backoff=DEFAULT_BACKOFF, cell_timeout=None,
-                 sim_engine=None, backend=None):
+                 backend=None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if max_attempts < 1:
@@ -82,9 +82,6 @@ class Scheduler:
         self.max_attempts = max_attempts
         self.backoff = backoff
         self.cell_timeout = cell_timeout
-        #: Timing-simulator engine for cell workers (None = inherit
-        #: the process default; stats are engine-independent).
-        self.sim_engine = sim_engine
         #: Execution backend (see :mod:`repro.campaign.backends`);
         #: the default local fork-per-cell pool is journal-identical
         #: to the pre-backend scheduler.
@@ -213,10 +210,7 @@ class Scheduler:
             trace = ctx.propagation(
                 attrs={"cell_id": cell.cell_id, "attempt": attempt}
             )
-        return self.backend.launch(
-            self._fn, cell, attempt, sim_engine=self.sim_engine,
-            trace=trace,
-        )
+        return self.backend.launch(self._fn, cell, attempt, trace=trace)
 
     def _reap(self, running):
         """Attempts that finished, crashed, or timed out this tick."""

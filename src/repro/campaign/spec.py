@@ -270,6 +270,11 @@ def _validate_axis(axis):
             raise ValueError(
                 f"axis {axis.name!r} targets no ProcessorConfig field"
             )
+        for value in axis.values:
+            try:
+                build_processor({fieldname: value})
+            except ValueError as exc:
+                raise ValueError(f"axis {axis.name!r}: {exc}") from None
         return
     if axis.name not in THRESHOLD_FIELDS:
         raise ValueError(
@@ -296,9 +301,20 @@ def build_selection(preset, threshold_overrides=None):
 
 
 def build_processor(overrides):
-    """A :class:`ProcessorConfig` with overrides, or ``None`` for default."""
+    """A :class:`ProcessorConfig` with overrides, or ``None`` for default.
+
+    The one check for processor overrides, wherever they come from (a
+    campaign's ``proc.*`` axes, a serve request's ``processor``
+    object): an unknown field or a bad value is a :class:`ValueError`
+    that names the field.
+    """
     if not overrides:
         return None
+    unknown = sorted(map(str, set(overrides) - PROCESSOR_FIELDS))
+    if unknown:
+        raise ValueError(
+            f"unknown processor field(s): {', '.join(unknown)}"
+        )
     return ProcessorConfig(**overrides).validate()
 
 

@@ -1,10 +1,10 @@
-"""Columnar / windowed views over traces for the batch-replay engine.
+"""Columnar / windowed views over traces for the simulator's batch replay.
 
 The compact :class:`~repro.emulator.trace.Trace` already stores the
 dynamic stream as three parallel ``array('q')`` columns; numpy can view
 those buffers zero-copy, which is what makes per-window precomputation
 (fetch-group boundaries, predictor outcomes, cache latencies) in
-:mod:`repro.uarch.vectorized` cheap.  Object traces (lists of
+:mod:`repro.uarch.simulator` cheap.  Object traces (lists of
 per-instruction records) are converted with one python pass.
 """
 

@@ -33,8 +33,7 @@ keeps getting one benchmark keeps reusing them — across every driver
 of the session, not just within one plan.
 
 Workers are forked when the session first needs them, so they inherit
-the parent's state *as of that fork*: artifact-cache overrides, the
-simulation-engine default (:func:`repro.uarch.set_default_engine`) and
+the parent's state *as of that fork*: artifact-cache overrides and
 anything else set before the first pooled :func:`execute`.  State the
 parent changes later does not reach them.  Cell functions must be
 module-level (picklable) and depend only on their arguments — which

@@ -16,7 +16,7 @@ from repro.core.selector import DivergeSelector
 from repro.exec import Job, execute
 from repro.experiments.report import render_table
 from repro.experiments.runner import get_artifacts
-from repro.uarch import make_simulator
+from repro.uarch import TimingSimulator
 
 
 def run_many(benchmark_names, scale=1.0, config=None, top=15, jobs=None):
@@ -35,7 +35,7 @@ def run(benchmark_name, scale=1.0, config=None, top=15):
     annotation = DivergeSelector(
         artifacts.program, artifacts.profile, config
     ).select()
-    simulator = make_simulator(
+    simulator = TimingSimulator(
         artifacts.program,
         annotation=annotation,
         collect_per_branch=True,

@@ -41,7 +41,7 @@ from repro.experiments.runner import (
     run_selection,
 )
 from repro.obs.ledger import SelectionLedger
-from repro.uarch import make_simulator
+from repro.uarch import TimingSimulator
 
 SERIES = ("static-meld", "dpred", "meld+dpred")
 
@@ -225,7 +225,7 @@ def _bench_cell(name, scale):
     meld_state, meld_program, meld_trace = melded_run(
         name, resolve("meld"), scale=scale
     )
-    meld_stats = make_simulator(meld_program).run(
+    meld_stats = TimingSimulator(meld_program).run(
         meld_trace, label=f"{name}/static-meld"
     )
 
@@ -234,7 +234,7 @@ def _bench_cell(name, scale):
         name, resolve("meld+all-best-heur"), scale=scale,
         ledger=comb_ledger,
     )
-    comb_stats = make_simulator(
+    comb_stats = TimingSimulator(
         comb_program, annotation=comb_state.annotation
     ).run(comb_trace, label=f"{name}/meld+dpred")
 
@@ -362,7 +362,7 @@ def meld_cell(params):
         benchmark, selection, input_set=input_set, scale=scale,
         ledger=selection_ledger,
     )
-    stats = make_simulator(
+    stats = TimingSimulator(
         program, annotation=state.annotation, ledger=runtime_ledger
     ).run(trace, label=f"{benchmark}/{selection.name}")
     melded = state.transform.melded if state.transform else ()

@@ -29,7 +29,7 @@ from repro.exec import artifact_cache
 from repro.obs.context import get_metrics
 from repro.obs.timers import phase
 from repro.profiling import Profiler
-from repro.uarch import make_simulator
+from repro.uarch import TimingSimulator
 from repro.workloads import BENCHMARK_NAMES, load_benchmark
 
 #: Default benchmark list: the paper's 12 SPEC2000 + 5 SPEC95 programs.
@@ -184,7 +184,7 @@ def run_baseline(name, input_set="reduced", scale=1.0, config=None):
     if cached is not None:
         return cached
     artifacts = get_artifacts(name, input_set, scale)
-    simulator = make_simulator(artifacts.program, config=config)
+    simulator = TimingSimulator(artifacts.program, config=config)
     with phase("simulate") as ph:
         stats = simulator.run(artifacts.trace, label=f"{name}/baseline")
         ph.events = stats.retired_instructions
@@ -203,7 +203,7 @@ def run_annotated(name, annotation, input_set="reduced", scale=1.0,
     simulator cost buckets.
     """
     artifacts = get_artifacts(name, input_set, scale)
-    simulator = make_simulator(
+    simulator = TimingSimulator(
         artifacts.program, config=config, annotation=annotation,
         ledger=ledger, profiler=profiler,
     )

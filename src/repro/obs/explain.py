@@ -194,7 +194,7 @@ def _build_explain_melded(workload, selection_config, input_set, scale,
                           processor_config):
     """The meld-aware explain path (see :func:`build_explain`)."""
     from repro.experiments.meldcompare import melded_run
-    from repro.uarch import make_simulator
+    from repro.uarch import TimingSimulator
 
     selection = SelectionLedger()
     runtime = RuntimeLedger()
@@ -202,7 +202,7 @@ def _build_explain_melded(workload, selection_config, input_set, scale,
         workload, selection_config, input_set=input_set, scale=scale,
         ledger=selection,
     )
-    stats = make_simulator(
+    stats = TimingSimulator(
         program, config=processor_config, annotation=state.annotation,
         ledger=runtime,
     ).run(trace, label=f"{workload}/{selection_config.name}")

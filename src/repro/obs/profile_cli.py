@@ -51,37 +51,28 @@ SCHEMA_PATH = os.path.join(
 
 
 def build_profile(workload, selection_config, input_set="reduced",
-                  scale=1.0, processor_config=None, engine=None):
+                  scale=1.0, processor_config=None):
     """Run profile → select → simulate under a fresh telemetry context.
 
     The run happens in its own metrics registry and span tree so the
     returned snapshot is self-contained (an ambient telemetry context,
     e.g. a figure driver's, is not disturbed and does not leak in).
-    ``engine`` optionally forces the simulation engine for the run
-    (``"scalar"``/``"vectorized"``/``"auto"``); the record carries the
-    engine that actually ran under its ``"engine"`` key.
     """
-    from repro.experiments.runner import get_artifacts, run_selection
+    from repro.experiments.runner import run_selection
     from repro.obs.context import telemetry
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.timers import PhaseProfile
-    from repro.uarch.engine import engine_override, resolve_engine
     from repro.uarch.profiler import SimProfiler
 
     registry = MetricsRegistry()
     phases = PhaseProfile()
     profiler = SimProfiler()
     with telemetry(metrics=registry, phases=phases):
-        with engine_override(engine):
-            stats, annotation = run_selection(
-                workload, selection_config,
-                input_set=input_set, scale=scale,
-                config=processor_config, profiler=profiler,
-            )
-            resolved_engine = resolve_engine(
-                get_artifacts(workload, input_set, scale).program,
-                processor_config,
-            )
+        stats, annotation = run_selection(
+            workload, selection_config,
+            input_set=input_set, scale=scale,
+            config=processor_config, profiler=profiler,
+        )
     simulate_self = phases.spans.self_seconds(("simulate",))
     attributed = profiler.total_seconds()
     return {
@@ -89,7 +80,6 @@ def build_profile(workload, selection_config, input_set="reduced",
         "config": selection_config.name,
         "scale": scale,
         "input_set": input_set,
-        "engine": resolved_engine,
         "run": {
             "label": stats.label,
             "cycles": stats.cycles,
@@ -165,11 +155,9 @@ def format_profile(data):
     """Render :func:`build_profile` output as plain text."""
     run = data["run"]
     sim = data["simulate"]
-    engine = data.get("engine")  # absent in pre-engine records
     lines = [
         f"profile: {data['workload']} under {data['config']} "
-        f"(scale {data['scale']:g}, input set {data['input_set']}"
-        + (f", {engine} engine)" if engine else ")"),
+        f"(scale {data['scale']:g}, input set {data['input_set']})",
         f"  run: {run['cycles']} cycles, "
         f"{run['retired_instructions']} insts "
         f"(IPC {run['ipc']:.3f}), "
@@ -308,13 +296,6 @@ def main(argv=None):
         help="workload input set (default: reduced)",
     )
     parser.add_argument(
-        "--sim-engine",
-        choices=("auto", "scalar", "vectorized"),
-        default=None,
-        help="timing-simulator engine (default: process default / "
-             "auto); the record's 'engine' key reports what ran",
-    )
-    parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persistent artifact cache directory (default: "
              "$REPRO_CACHE_DIR or ~/.cache/dmp-repro)",
@@ -350,7 +331,6 @@ def main(argv=None):
         data = build_profile(
             args.workload, selection_config,
             input_set=args.input_set, scale=args.scale,
-            engine=args.sim_engine,
         )
     except (KeyError, WorkloadError) as exc:
         print(f"python -m repro profile: error: {exc.args[0]}",

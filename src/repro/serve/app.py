@@ -19,10 +19,7 @@ the campaign journal records for the same cell.
 computation: the first arrival (the *leader*) runs it, the rest wait on
 an event and receive the same bytes.  The coalescing key is
 :func:`repro.campaign.spec.content_hash` over the normalized request —
-for ``/v1/simulate`` that hash *is* the campaign cell ID.  A
-per-request ``engine`` override is deliberately excluded from the key
-(engines are bit-identical by contract, so requests differing only in
-engine coalesce).
+for ``/v1/simulate`` that hash *is* the campaign cell ID.
 
 **Warm-state safety.**  The process-wide caches the daemon exists to
 keep warm — the shared :class:`~repro.compiler.AnalysisManager`, the
@@ -36,7 +33,12 @@ import json
 import threading
 import time
 
-from repro.campaign.spec import DEFAULT_CELL, canonical_json, content_hash
+from repro.campaign.spec import (
+    DEFAULT_CELL,
+    build_processor,
+    canonical_json,
+    content_hash,
+)
 from repro.errors import ReproError
 
 #: Latency histogram buckets (seconds) for the per-endpoint timers.
@@ -300,24 +302,21 @@ class ServeApp:
             help="requests that ended in an error response",
         ).inc()
 
-    def _run(self, op, params, engine, fn, meta=None):
+    def _run(self, op, params, fn, meta=None):
         """Single-flight ``fn`` under the warm-state lock.
 
         The key hashes the *normalized* request (op + params) with the
-        same :func:`content_hash` the campaign layer uses; ``engine``
-        stays out of the key because both engines are bit-identical.
+        same :func:`content_hash` the campaign layer uses.
         """
         key = content_hash({"op": op, "params": params})
-        return self._flight_do(key, engine, fn, meta)
+        return self._flight_do(key, fn, meta)
 
-    def _flight_do(self, key, engine, fn, meta):
+    def _flight_do(self, key, fn, meta):
         """Coalesced execution with leader trace attribution."""
         from repro.obs import tracectx
 
         def compute():
-            from repro.uarch.engine import engine_override
-
-            with self._compute_lock, engine_override(engine):
+            with self._compute_lock:
                 return fn()
 
         ctx = tracectx.current()
@@ -344,7 +343,6 @@ class ServeApp:
         )
         config = _take(body, "config")
         pipeline = _take(body, "pipeline")
-        engine = _take(body, "engine")
         _reject_unknown(body, "compile")
         if config is not None and pipeline is not None:
             raise RequestError(
@@ -355,7 +353,7 @@ class ServeApp:
             "scale": scale, "config": config, "pipeline": pipeline,
         }
         return self._run(
-            "compile", params, engine,
+            "compile", params,
             lambda: _compile_bytes(benchmark, input_set, scale,
                                    config, pipeline),
             meta=meta,
@@ -370,13 +368,16 @@ class ServeApp:
         selection = _take(body, "selection", "all-best-heur")
         thresholds = _take(body, "thresholds") or {}
         processor = _take(body, "processor") or {}
-        engine = _take(body, "engine")
         _reject_unknown(body, "simulate")
         if not isinstance(thresholds, dict) \
                 or not isinstance(processor, dict):
             raise RequestError(
                 "simulate: 'thresholds' and 'processor' must be objects"
             )
+        try:
+            build_processor(processor)
+        except ValueError as exc:
+            raise RequestError(f"simulate: {exc}") from None
         # Exactly the params dict CampaignSpec._resolve builds, so the
         # coalescing key below == the campaign cell ID for this cell.
         params = {
@@ -390,7 +391,7 @@ class ServeApp:
         }
         key = content_hash(params)
         return self._flight_do(
-            key, engine, lambda: _simulate_bytes(params, key), meta
+            key, lambda: _simulate_bytes(params, key), meta
         )
 
     # -- /v1/explain ---------------------------------------------------
@@ -401,14 +402,13 @@ class ServeApp:
         )
         config = _take(body, "config", "all-best-cost")
         pipeline = _take(body, "pipeline")
-        engine = _take(body, "engine")
         _reject_unknown(body, "explain")
         params = {
             "workload": workload, "input_set": input_set,
             "scale": scale, "config": config, "pipeline": pipeline,
         }
         return self._run(
-            "explain", params, engine,
+            "explain", params,
             lambda: _explain_bytes(workload, input_set, scale,
                                    config, pipeline),
             meta=meta,

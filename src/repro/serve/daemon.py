@@ -262,12 +262,6 @@ def main(argv=None):
     parser.add_argument("--warm-scale", type=scale_arg, default=1.0,
                         metavar="S",
                         help="trace scale used by --warm (default 1.0)")
-    parser.add_argument("--sim-engine",
-                        choices=("auto", "scalar", "vectorized"),
-                        default=None,
-                        help="process-default timing-simulator engine "
-                             "(per-request 'engine' fields override it; "
-                             "results are engine-independent)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent artifact cache directory")
     parser.add_argument("--no-disk-cache", action="store_true",
@@ -288,10 +282,6 @@ def main(argv=None):
                         help="disable the structured access log")
     args = parser.parse_args(argv)
 
-    if args.sim_engine is not None:
-        from repro.uarch import set_default_engine
-
-        set_default_engine(args.sim_engine)
     if args.cache_dir:
         from repro.exec import artifact_cache
 

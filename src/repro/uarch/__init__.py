@@ -15,22 +15,9 @@ diverge-loop early/late/no-exit behaviour.
 """
 
 from repro.uarch.config import ProcessorConfig
-from repro.uarch.engine import (
-    ENGINES,
-    engine_override,
-    get_default_engine,
-    make_simulator,
-    resolve_engine,
-    set_default_engine,
-    vectorized_support,
-)
 from repro.uarch.profiler import COMPONENTS, SimProfiler
 from repro.uarch.stats import SimStats
 from repro.uarch.simulator import TimingSimulator, simulate
-from repro.uarch.vectorized import VectorizedTimingSimulator
 
-__all__ = ["COMPONENTS", "ENGINES", "ProcessorConfig", "SimProfiler",
-           "SimStats", "TimingSimulator", "VectorizedTimingSimulator",
-           "engine_override", "get_default_engine", "make_simulator",
-           "resolve_engine", "set_default_engine", "simulate",
-           "vectorized_support"]
+__all__ = ["COMPONENTS", "ProcessorConfig", "SimProfiler", "SimStats",
+           "TimingSimulator", "simulate"]

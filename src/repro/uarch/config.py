@@ -8,7 +8,19 @@ branch fetched at cycle c executes no earlier than
 ``redirect_penalty`` cycles later.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+
+from repro.branchpred import PREDICTORS
+
+#: Fields that size a structure (capacity, ways, width, table entries)
+#: and so must be at least 1; every other integer field may be 0.
+POSITIVE_FIELDS = frozenset((
+    "fetch_width", "retire_width", "rob_size",
+    "perceptron_entries", "perceptron_history", "btb_entries",
+    "ras_depth", "confidence_entries",
+    "icache_kb", "icache_assoc", "dcache_kb", "dcache_assoc",
+    "l2_kb", "l2_assoc",
+))
 
 
 @dataclass(frozen=True)
@@ -62,30 +74,39 @@ class ProcessorConfig:
     dpred_max_wrong_path_insts: int = 256
     dpred_max_loop_iterations: int = 32
 
-    # Simulation engine (not a hardware parameter): "scalar" replays
-    # one trace row at a time, "vectorized" uses the numpy batch-replay
-    # fast path, and "auto" picks vectorized whenever it can reproduce
-    # the scalar run bit-identically for the program at hand (see
-    # repro.uarch.engine).  Both engines produce identical SimStats.
-    sim_engine: str = "auto"
-
     @property
     def min_misprediction_penalty(self):
         """Cycles from fetch to earliest correct-path refetch."""
         return self.frontend_depth + 1 + self.redirect_penalty
 
     def validate(self):
-        if self.fetch_width <= 0 or self.rob_size <= 0:
-            raise ValueError("fetch_width and rob_size must be positive")
-        if self.retire_width <= 0:
-            raise ValueError("retire_width must be positive")
-        if self.min_misprediction_penalty < 1:
-            raise ValueError("misprediction penalty must be at least 1")
-        if self.sim_engine not in ("auto", "scalar", "vectorized"):
-            raise ValueError(
-                f"sim_engine must be one of auto/scalar/vectorized, "
-                f"got {self.sim_engine!r}"
-            )
+        """Check every field once; returns ``self``.
+
+        Raises :class:`ValueError` naming the first bad field: an
+        integer field holding anything but an ``int``, a negative
+        value, a size, way count, width or table size that is not
+        positive, or an unknown predictor kind.
+        """
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if item.name == "predictor_kind":
+                if not isinstance(value, str) or value not in PREDICTORS:
+                    raise ValueError(
+                        f"predictor_kind must be one of "
+                        f"{', '.join(PREDICTORS)}, got {value!r}"
+                    )
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(
+                    f"{item.name} must be an integer, got {value!r}"
+                )
+            floor = 1 if item.name in POSITIVE_FIELDS else 0
+            if value < floor:
+                raise ValueError(
+                    f"{item.name} must be "
+                    f"{'positive' if floor else 'non-negative'}, "
+                    f"got {value}"
+                )
         return self
 
 

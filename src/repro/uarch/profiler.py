@@ -2,14 +2,15 @@
 
 Answers *where the simulator's own wall-clock goes* — fetch-group
 management, branch prediction, I/D-cache walks, ROB retire, dpred
-episode bookkeeping, wrong-path synthesis — so the vectorization work
-(ROADMAP item 1) has a per-component baseline to beat and a way to
-verify each component's speedup instead of one opaque total.
+episode bookkeeping, wrong-path synthesis — so a speedup can be pinned
+to the component it moved instead of one opaque total.
 
 The accounting is a *stopwatch partition*, not nested timers: the run
-loop keeps a single running timestamp and charges the time since the
+keeps a single running timestamp and charges the time since the
 previous charge point to exactly one component bucket at each segment
-boundary.  The buckets therefore sum to the instrumented run's total
+boundary.  Segments are the batch replay's kernels (per window), not
+rows: the per-window pre-passes bill to their own components and the
+replay loop's residual bills to ``dataflow``.  The buckets therefore sum to the instrumented run's total
 wall-clock *exactly* (no double counting, no gaps between the first
 and last charge).  Each bucket also carries a deterministic event
 count (instructions fetched, predictions made, cache walks, wrong-path

@@ -32,7 +32,56 @@ that is DMP's benefit.  Diverge loop branches predicate iterations:
 late exits avoid the flush at the cost of fetching the extra (NOPped)
 iterations and per-iteration select-µops; early exits flush as usual
 (§5.1's three cases).
+
+**How the trace is replayed.**  The branch machinery — perceptron, JRS
+confidence, BTB, RAS — evolves purely from *trace-determined* inputs
+(pc, taken, next_pc), never from timing state.  So the trace is
+consumed in windows of ``window_size`` rows and, per window:
+
+1. **Decode gather** — static per-pc tables (kind, latency, sources,
+   destination) are gathered for the window's rows in one numpy
+   indexing operation.
+2. **D-cache pre-pass** — when the static code is I-cache resident
+   (:func:`supports`), ``memory.data_latency`` is replayed over the
+   window's loads/stores in trace order and load latencies are
+   scattered into the window's latency vector.
+3. **Branch pre-pass** — predictor outcomes and confidence queries for
+   the window's conditional branches.  For the perceptron, per-branch
+   histories are materialized as one sliding-window matrix over
+   ``initial history ⊕ outcomes`` and training happens in place per
+   branch; prediction and update share one dot product.
+4. **Control pre-pass** — BTB bubbles and RAS return predictions for
+   the window's control rows, emitted as cursor-indexed lists.
+5. **Replay** — one python loop advances the front-end / dataflow /
+   ROB clocks over plain python lists, with the in-order retire state
+   folded into a closed-form counter (``p = retire_width *
+   last_retire_cycle + retired_in_cycle - 1`` advances as ``p' = max(p
+   + 1, retire_width * complete)`` per retired entry).  Dpred
+   episodes, flushes and wrong-path walks run in the loop, interleaved
+   with the bias table, because the walker reads the bias table as of
+   the (timing-dependent) episode entry row.
+
+**I-cache probes.**  After a warm pass over the static code, the I-cache
+is probed at the start of every fetch group.  Fetch-group starts depend
+on timing (ROB stalls, half-width dpred episodes), and I-misses share
+the unified L2 with data, so neither can move into a pre-pass.  When
+the code is resident every probe hits and changes nothing, so the loop
+skips them and keeps the D-cache pre-pass.  Otherwise the loop probes
+the I-cache at each new fetch group and walks the D-cache inline, in
+trace order, which keeps the L2 access sequence exact.
+
+With ``profiler=None`` the replay loop carries no per-row stopwatch
+checks.  With a profiler, each batched kernel is charged to its
+component: window setup/gathers → fetch, D-cache pre-pass → dcache,
+branch/control pre-passes → branch_predict, replay loop (including
+inline probes) → dataflow, warm pass → icache, drain → rob_retire,
+episode construction/walks → dpred_episode/wrong_path.  The stopwatch
+partition sums exactly to the instrumented run.
 """
+
+import weakref
+
+import numpy as np
 
 from repro.branchpred import (
     BranchTargetBuffer,
@@ -40,11 +89,18 @@ from repro.branchpred import (
     ReturnAddressStack,
     make_predictor,
 )
+from repro.branchpred.confidence import COUNTER_MAX
+from repro.branchpred.perceptron import (
+    WEIGHT_MAX,
+    WEIGHT_MIN,
+    PerceptronPredictor,
+)
 from repro.core.marks import DivergeKind
-from repro.emulator import trace_rows
+from repro.emulator.windows import trace_columns, window_bounds
 from repro.errors import SimulationError
-from repro.isa.instructions import Opcode
+from repro.isa.registers import NUM_REGISTERS
 from repro.memory import MemoryHierarchy
+from repro.memory.hierarchy import INSTRUCTIONS_PER_LINE
 from repro.obs import events as obs_events
 from repro.obs.context import get_metrics, get_tracer
 from repro.uarch.config import ProcessorConfig
@@ -71,6 +127,52 @@ WRONG_PATH_INST_BUCKETS = (0, 5, 10, 25, 50, 100, 200)
 
 #: Histogram buckets for the confidence estimator's per-run PVN.
 PVN_BUCKETS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0)
+
+#: Row classes in the static decode tables.  Memory rows collapse to
+#: ``_PLAIN`` in the replay-kind table used for resident programs
+#: (their latency is precomputed), so the replay loop only branches on
+#: control kinds; when it probes, memory rows keep their own kinds.
+_PLAIN, _COND, _JMP, _CALL, _RET, _LOAD, _STORE = range(7)
+
+#: Default replay window (rows).  Large enough to amortize the numpy
+#: pre-passes, small enough that the gathered columns stay cache-warm.
+DEFAULT_WINDOW = 1 << 15
+
+#: Sentinel register indices: decode tables map "no destination" (NOP,
+#: store, branch, or an architectural r0 write) to a scratch slot that
+#: is written but never read, and "no source" to a null slot that is
+#: read but never written (so it always reports ready-at-0).  This
+#: keeps the replay loop branch-free on operand presence.
+_SCRATCH_REG = NUM_REGISTERS
+_NULL_REG = NUM_REGISTERS + 1
+
+#: Static decode tables are pure functions of the program, shared
+#: across simulator instances (constructing a simulator per run is the
+#: common pattern in the experiment drivers).
+_DECODE_CACHE = weakref.WeakKeyDictionary()
+
+
+def supports(program, config):
+    """Does ``program`` stay I-cache resident under ``config``?
+
+    Returns ``(ok, reason)``.  After the warm pass every probe of a
+    resident program hits, so the replay loop may skip the per-group
+    I-cache probes and move D-cache accesses into a trace-order
+    pre-pass; otherwise it probes and walks the D-cache inline (see
+    the module docstring).  Program pcs occupy contiguous lines
+    ``0 .. L-1``, so residency reduces to per-set occupancy
+    ``ceil(L / num_sets) <= associativity``.
+    """
+    num_lines = (config.icache_kb * 1024) // 64
+    num_sets = max(1, num_lines // config.icache_assoc)
+    program_lines = -(-len(program.instructions) // INSTRUCTIONS_PER_LINE)
+    if -(-program_lines // num_sets) > config.icache_assoc:
+        return False, (
+            f"program ({len(program.instructions)} instructions, "
+            f"{program_lines} lines) exceeds I-cache residency "
+            f"({num_sets} sets x {config.icache_assoc} ways)"
+        )
+    return True, ""
 
 
 class _Episode:
@@ -145,11 +247,15 @@ class TimingSimulator:
         the instrumented run time exactly) plus deterministic event
         counts, folded in once per run via
         :meth:`~repro.uarch.profiler.SimProfiler.record_run`.
+    window_size:
+        Replay window in trace rows (default :data:`DEFAULT_WINDOW`).
+        It changes only how the pre-passes batch the trace, never the
+        result; tests sweep tiny windows to pin window-edge behaviour.
     """
 
     def __init__(self, program, config=None, annotation=None,
                  collect_per_branch=False, tracer=None, metrics=None,
-                 ledger=None, profiler=None):
+                 ledger=None, profiler=None, window_size=None):
         self.program = program
         self.config = (config or ProcessorConfig()).validate()
         self.annotation = annotation
@@ -210,6 +316,17 @@ class TimingSimulator:
         # EWMA of recent continue-run lengths minus the current streak.
         self._loop_streak = {}
         self._loop_run_ewma = {}
+        self.window_size = (
+            DEFAULT_WINDOW if window_size is None else int(window_size)
+        )
+        if self.window_size < 1:
+            raise SimulationError(
+                f"window_size must be >= 1, got {self.window_size}"
+            )
+        #: Whether the replay loop must probe the I-cache per fetch
+        #: group (and walk the D-cache inline) — see :func:`supports`.
+        self._probe_icache = not supports(program, cfg)[0]
+        self._build_decode_tables()
 
     def _observe_loop_outcome(self, pc, continued):
         """Update per-branch trip statistics; returns expected remaining."""
@@ -223,7 +340,263 @@ class TimingSimulator:
         return max(1.0, ewma - streak)
 
     # ------------------------------------------------------------------
-    # Public API
+    # Static decode tables
+    # ------------------------------------------------------------------
+
+    def _build_decode_tables(self):
+        program = self.program
+        instructions = program.instructions
+        n = len(instructions)
+        try:
+            cached = _DECODE_CACHE.get(program)
+        except TypeError:         # unweakrefable program stand-in
+            cached = None
+        if cached is None:
+            kind = np.zeros(n, dtype=np.int64)
+            lat = np.empty(n, dtype=np.int64)
+            src1 = np.full(n, _NULL_REG, dtype=np.int64)
+            src2 = np.full(n, _NULL_REG, dtype=np.int64)
+            src3 = np.full(n, _NULL_REG, dtype=np.int64)
+            dest = np.full(n, _SCRATCH_REG, dtype=np.int64)
+            targets = [-1] * n
+            for pc, inst in enumerate(instructions):
+                if inst.is_conditional_branch:
+                    kind[pc] = _COND
+                elif inst.is_call:
+                    kind[pc] = _CALL
+                elif inst.is_return:
+                    kind[pc] = _RET
+                elif inst.is_control:
+                    kind[pc] = _JMP
+                elif inst.is_load:
+                    kind[pc] = _LOAD
+                elif inst.is_store:
+                    kind[pc] = _STORE
+                lat[pc] = inst.latency
+                reads = inst.read_registers()
+                if reads:
+                    src1[pc] = reads[0]
+                    if len(reads) > 1:
+                        src2[pc] = reads[1]
+                        if len(reads) > 2:    # CMOV reads its old dest
+                            src3[pc] = reads[2]
+                written = inst.written_register()
+                if written:   # None and r0 both mean "no dataflow dest"
+                    dest[pc] = written
+                if inst.target is not None:
+                    targets[pc] = inst.target
+            cached = (kind, np.where(kind >= _LOAD, _PLAIN, kind),
+                      lat, src1, src2, src3, dest, targets)
+            try:
+                _DECODE_CACHE[program] = cached
+            except TypeError:
+                pass
+        (self._kind_table, self._replay_kind_table, self._lat_table,
+         self._src1_table, self._src2_table, self._src3_table,
+         self._dest_table, self._target_by_pc) = cached
+        # Diverge marks by pc (an empty annotation never yields a
+        # diverge branch).
+        if self.annotation:
+            diverge_by_pc = [None] * n
+            for mark in self.annotation:
+                diverge_by_pc[mark.branch_pc] = mark
+            self._diverge_by_pc = diverge_by_pc
+        else:
+            self._diverge_by_pc = None
+
+    # ------------------------------------------------------------------
+    # Per-window pre-passes
+    # ------------------------------------------------------------------
+
+    def _branch_prepass(self, cond_pcs, cond_taken):
+        """Replay predictor + confidence over a window's cond branches.
+
+        Returns ``(predicted, low_conf, mispredicted)`` python lists
+        plus the window's (mispredictions, low-confidence, low-and-mis)
+        counts.  Predictor and confidence state advance exactly as
+        per-branch ``predict``/``update`` calls would.
+        """
+        m = cond_pcs.shape[0]
+        pcs_list = cond_pcs.tolist()
+        taken_list = cond_taken.tolist()
+        pred_l = []
+        low_l = []
+        mis_l = []
+        ap_pred = pred_l.append
+        ap_low = low_l.append
+        ap_mis = mis_l.append
+        predictor = self.predictor
+        conf = self.confidence
+        counters = conf._counters
+        centries = conf.num_entries
+        cthreshold = conf.threshold
+        chist = conf._history
+        chist_mask = conf._history_mask
+        cidx_mask = centries - 1
+        n_mis = 0
+        n_low = 0
+        n_low_mis = 0
+        if isinstance(predictor, PerceptronPredictor):
+            h = predictor.history_bits
+            # Chronological outcome stream: initial history (oldest
+            # first) followed by this window's outcomes; branch j's
+            # most-recent-first history is a reversed length-h slice
+            # ending just before outcome j.
+            outcomes = cond_taken.astype(np.int32) * 2 - 1
+            chron = np.concatenate((predictor._history[::-1], outcomes))
+            windows = np.lib.stride_tricks.sliding_window_view(
+                chron[::-1], h
+            )
+            hist_rows = windows[np.arange(m, 0, -1)]
+            weights = predictor._weights
+            num_perceptrons = predictor.num_perceptrons
+            pthreshold = predictor.threshold
+            for j in range(m):
+                pc = pcs_list[j]
+                taken = taken_list[j]
+                row = weights[pc % num_perceptrons]
+                history = hist_rows[j]
+                output = int(row[0]) + int(row[1:] @ history)
+                pred = output >= 0
+                mis = pred != taken
+                if mis or (output if pred else -output) <= pthreshold:
+                    # minimum+maximum ufuncs with out= do what np.clip
+                    # does without its (much slower) dispatch wrapper.
+                    weight_tail = row[1:]
+                    if taken:
+                        bias_weight = int(row[0]) + 1
+                        row[0] = (bias_weight if bias_weight <= WEIGHT_MAX
+                                  else WEIGHT_MAX)
+                        np.add(weight_tail, history, out=weight_tail)
+                        np.minimum(weight_tail, WEIGHT_MAX,
+                                   out=weight_tail)
+                        np.maximum(weight_tail, WEIGHT_MIN,
+                                   out=weight_tail)
+                    else:
+                        bias_weight = int(row[0]) - 1
+                        row[0] = (bias_weight if bias_weight >= WEIGHT_MIN
+                                  else WEIGHT_MIN)
+                        np.subtract(weight_tail, history, out=weight_tail)
+                        np.maximum(weight_tail, WEIGHT_MIN,
+                                   out=weight_tail)
+                        np.minimum(weight_tail, WEIGHT_MAX,
+                                   out=weight_tail)
+                index = (pc ^ (chist & cidx_mask)) % centries
+                low = counters[index] < cthreshold
+                if low:
+                    n_low += 1
+                    if mis:
+                        n_low_mis += 1
+                if mis:
+                    n_mis += 1
+                    counters[index] = 0
+                    chist = ((chist << 1) | 1) & chist_mask
+                else:
+                    bumped = counters[index] + 1
+                    if bumped <= COUNTER_MAX:
+                        counters[index] = bumped
+                    chist = (chist << 1) & chist_mask
+                ap_pred(pred)
+                ap_low(low)
+                ap_mis(mis)
+            predictor._history = chron[len(chron) - h:][::-1].copy()
+        else:
+            predict = predictor.predict
+            update = predictor.update
+            for j in range(m):
+                pc = pcs_list[j]
+                taken = taken_list[j]
+                pred = predict(pc)
+                mis = pred != taken
+                update(pc, taken)
+                index = (pc ^ (chist & cidx_mask)) % centries
+                low = counters[index] < cthreshold
+                if low:
+                    n_low += 1
+                    if mis:
+                        n_low_mis += 1
+                if mis:
+                    n_mis += 1
+                    counters[index] = 0
+                    chist = ((chist << 1) | 1) & chist_mask
+                else:
+                    bumped = counters[index] + 1
+                    if bumped <= COUNTER_MAX:
+                        counters[index] = bumped
+                    chist = (chist << 1) & chist_mask
+                ap_pred(pred)
+                ap_low(low)
+                ap_mis(mis)
+        conf._history = chist
+        conf.queries += m
+        conf.low_confidence_count += n_low
+        conf.low_confidence_mispredicted += n_low_mis
+        return pred_l, low_l, mis_l, n_mis, n_low, n_low_mis
+
+    def _control_prepass(self, kinds_w, pcs_w, next_w, cond_mis):
+        """Replay BTB + RAS over a window's control rows.
+
+        Returns ``(ctl_taken, ctl_extra)`` aligned with the window's
+        control rows in trace order: for cond/jmp/call rows ``extra``
+        is the BTB bubble to charge (0 when none), for ret rows it is
+        the RAS-correct flag.  ``cond_mis`` is the branch pre-pass's
+        misprediction list (cond rows are a subsequence of control
+        rows, so a cond-ordinal cursor lines them up).
+        """
+        ctrl_rows = np.nonzero((kinds_w >= _COND) & (kinds_w <= _RET))[0]
+        if not ctrl_rows.size:
+            return [], []
+        kinds = kinds_w[ctrl_rows].tolist()
+        pcs = pcs_w[ctrl_rows].tolist()
+        nexts = next_w[ctrl_rows].tolist()
+        btb = self.btb
+        tags = btb._tags
+        btb_targets = btb._targets
+        num_entries = btb.num_entries
+        bubble = btb.miss_bubble_cycles
+        push = self.ras.push
+        pop_predict = self.ras.pop_predict
+        taken_l = []
+        extra_l = []
+        ap_taken = taken_l.append
+        ap_extra = extra_l.append
+        hits = 0
+        misses = 0
+        cond_cursor = 0
+        for k, pc, nxt in zip(kinds, pcs, nexts):
+            taken = nxt != pc + 1
+            ap_taken(taken)
+            if k == _COND:
+                mis = cond_mis[cond_cursor]
+                cond_cursor += 1
+                if not taken or mis:
+                    ap_extra(0)
+                    continue
+            elif k == _RET:
+                ap_extra(1 if pop_predict(nxt) else 0)
+                continue
+            elif k == _CALL:
+                push(pc + 1)
+            # Taken control: a BTB lookup; a miss or a wrong target
+            # costs the miss bubble and fills the entry for next time
+            # (direct targets are discovered at decode).
+            index = pc % num_entries
+            if tags[index] == pc:
+                hits += 1
+                if btb_targets[index] == nxt:
+                    ap_extra(0)
+                    continue
+            else:
+                misses += 1
+            tags[index] = pc
+            btb_targets[index] = nxt
+            ap_extra(bubble)
+        btb.hits += hits
+        btb.misses += misses
+        return taken_l, extra_l
+
+    # ------------------------------------------------------------------
+    # Batch replay
     # ------------------------------------------------------------------
 
     def run(self, trace, label=""):
@@ -246,8 +619,10 @@ class TimingSimulator:
         # Opt-in cost attribution (see repro.uarch.profiler): a single
         # running timestamp; each charge(i) bills the time since the
         # previous charge point to bucket i, so the buckets partition
-        # the instrumented interval exactly.  ``profiling`` is a hoisted
-        # local bool — profiler=None pays one check per charge site.
+        # the instrumented interval exactly.  Kernels are charged per
+        # window, not per row — the replay loop's residual bills to
+        # dataflow at the window boundary — so profiler=None stays
+        # check-free on the hot path.
         profiler = self.profiler
         profiling = profiler is not None
         if profiling:
@@ -265,10 +640,18 @@ class TimingSimulator:
         else:
             charge = None
 
+        # Columnar view of the trace (zero-copy for compact traces).
+        pcs_np, next_np, addr_np = trace_columns(trace)
+        n = pcs_np.shape[0]
+        if profiling:
+            charge(OTHER)
+
         # Warm the instruction side: at the paper's scale (hundreds of
         # millions of instructions) compulsory I-cache misses are
         # negligible, but at our reduced scale a cold pass over the
         # static code would cost more cycles than the whole benchmark.
+        # For a resident program every later probe hits, which is why
+        # the replay loop may skip them (see supports()).
         warm_step = max(1, self.memory.icache.words_per_line)
         for pc in range(0, len(instructions), warm_step):
             self.memory.instruction_latency(pc)
@@ -276,29 +659,63 @@ class TimingSimulator:
             charge(ICACHE)
             comp_events[ICACHE] += -(-len(instructions) // warm_step)
 
-        # Front-end state.
+        # Hoisted configuration and machinery.
+        fetch_width = cfg.fetch_width
+        half_width = max(1, fetch_width // 2)
+        frontend_depth = cfg.frontend_depth
+        redirect = cfg.redirect_penalty
+        retire_width = cfg.retire_width
+        rob_size = cfg.rob_size
+        max_cond = cfg.max_cond_branches_per_cycle
+        max_wrong_path = cfg.dpred_max_wrong_path_insts
+        memory = self.memory
+        probe = self._probe_icache
+        instruction_latency = memory.instruction_latency
+        data_latency = memory.data_latency
+        icache_latency = cfg.icache_latency
+        diverge_by_pc = self._diverge_by_pc
+        dmp = diverge_by_pc is not None
+        bias_counters = self.bias._counters
+        kind_table = self._kind_table
+        # Probing keeps memory kinds so the loop can walk the D-cache
+        # inline, in trace order, between the I-cache probes.
+        replay_kind_table = kind_table if probe \
+            else self._replay_kind_table
+        lat_table = self._lat_table
+        src1_table = self._src1_table
+        src2_table = self._src2_table
+        src3_table = self._src3_table
+        dest_table = self._dest_table
+        target_by_pc = self._target_by_pc
+
+        # Front-end / dataflow / ROB state (carried across windows).
         cycle = 0
         slots_used = 0
         cond_used = 0
-        group_pc = trace[0].pc
-
-        # Dataflow state: architectural register -> ready cycle.
-        reg_ready = {}
-
-        # ROB: completion cycles in program order (lazy in-order retire).
+        # Two extra slots for the decode-table sentinels: _NULL_REG is
+        # never written (always ready at 0), _SCRATCH_REG never read.
+        reg_ready = [0] * (NUM_REGISTERS + 2)
         rob = []
+        rob_append = rob.append
+        rob_extend = rob.extend
         rob_head = 0
-        last_retire_cycle = 0
-        retired_in_cycle = 0
+        rob_occ = 0                      # == len(rob) - rob_head
         last_complete = 0
-
         episode = None
+        # In-order retire clock, closed form: with the per-entry
+        # (last_retire_cycle, retired_in_cycle) state, p =
+        # retire_width * last_retire_cycle + retired_in_cycle - 1, and
+        # retiring an entry completed at cycle c advances it as
+        # p' = max(p + 1, retire_width * c).  last_retire_cycle is
+        # recovered as p // retire_width.
+        p = -1
 
         ledger = self.ledger
         per_branch = (
             {} if (self.collect_per_branch or ledger is not None)
             else None
         )
+        track = per_branch is not None
 
         def branch_counters(pc):
             counters = per_branch.get(pc)
@@ -312,82 +729,34 @@ class TimingSimulator:
                 per_branch[pc] = counters
             return counters
 
-        fetch_width = cfg.fetch_width
-        frontend_depth = cfg.frontend_depth
-        redirect = cfg.redirect_penalty
-        retire_width = cfg.retire_width
-        rob_size = cfg.rob_size
-        max_cond = cfg.max_cond_branches_per_cycle
-        predictor = self.predictor
-        confidence = self.confidence
-        bias = self.bias
-        memory = self.memory
-        annotation = self.annotation
-
-        def retire_one():
-            nonlocal rob_head, last_retire_cycle, retired_in_cycle
-            complete = rob[rob_head]
-            rob_head += 1
-            if complete > last_retire_cycle:
-                last_retire_cycle = complete
-                retired_in_cycle = 1
-            else:
-                if retired_in_cycle >= retire_width:
-                    last_retire_cycle += 1
-                    retired_in_cycle = 1
-                else:
-                    retired_in_cycle += 1
-            return last_retire_cycle
-
-        def new_fetch_group(pc):
-            nonlocal cycle, slots_used, cond_used, group_pc
-            cycle += 1
-            slots_used = 0
-            cond_used = 0
-            group_pc = pc
-            if profiling:
-                charge(FETCH)
-            extra = memory.instruction_latency(pc) - cfg.icache_latency
-            if profiling:
-                charge(ICACHE)
-                comp_events[ICACHE] += 1
-            if extra > 0:
-                stats.icache_misses += 1
-                if traced:
-                    tracer.emit(obs_events.CacheMiss(
-                        level="icache", pc=pc, cycle=cycle,
-                        stall_cycles=extra,
-                    ))
-                cycle += extra
-
         def end_episode_unmerged(reason="resolved-unmerged"):
             nonlocal episode, cycle
             ep = episode
             episode = None
-            cycle = max(cycle, ep.resolve)
-            hist_episode_cycles.observe(max(0, ep.resolve - ep.start_cycle))
-            if per_branch is not None:
+            if ep.resolve > cycle:
+                cycle = ep.resolve
+            duration = ep.resolve - ep.start_cycle
+            if duration < 0:
+                duration = 0
+            hist_episode_cycles.observe(duration)
+            if track:
                 counters = branch_counters(ep.branch_pc)
                 counters[6] += 1
-                counters[10] += max(0, ep.resolve - ep.start_cycle)
+                counters[10] += duration
             if traced:
                 tracer.emit(obs_events.DpredEpisodeEnd(
                     branch_pc=ep.branch_pc,
                     cycle=cycle,
-                    duration_cycles=max(0, ep.resolve - ep.start_cycle),
+                    duration_cycles=duration,
                     reason=reason,
                 ))
             if ep.kind == "loop":
-                # Post-loop consumers of loop-carried values go through
-                # select-µops: ready no earlier than the resolution.
+                resolve = ep.resolve
                 for reg in ep.select_registers:
-                    if ep.resolve > reg_ready.get(reg, 0):
-                        reg_ready[reg] = ep.resolve
+                    if resolve > reg_ready[reg]:
+                        reg_ready[reg] = resolve
 
         def charge_fetch_slots(count):
-            # Extra µops (selects) consume fetch slots, spilling into
-            # additional cycles only when a group fills — charging whole
-            # cycles would make tiny hammocks artificially expensive.
             nonlocal cycle, slots_used
             slots_used += count
             while slots_used >= fetch_width:
@@ -395,370 +764,478 @@ class TimingSimulator:
                 slots_used -= fetch_width
 
         def end_episode_merged(merge_cycle):
-            nonlocal episode, cycle, slots_used, cond_used
+            nonlocal episode, cycle, rob_occ
             ep = episode
             episode = None
-            cycle = max(cycle, merge_cycle)
+            if merge_cycle > cycle:
+                cycle = merge_cycle
             stats.dpred_episodes_merged += 1
-            hist_episode_cycles.observe(max(0, merge_cycle - ep.start_cycle))
-            if per_branch is not None:
+            duration = merge_cycle - ep.start_cycle
+            if duration < 0:
+                duration = 0
+            hist_episode_cycles.observe(duration)
+            if track:
                 counters = branch_counters(ep.branch_pc)
                 counters[5] += 1
                 counters[9] += ep.num_selects
-                counters[10] += max(0, merge_cycle - ep.start_cycle)
+                counters[10] += duration
             if traced:
                 tracer.emit(obs_events.DpredEpisodeMerge(
                     branch_pc=ep.branch_pc,
                     cycle=cycle,
-                    duration_cycles=max(0, merge_cycle - ep.start_cycle),
+                    duration_cycles=duration,
                     select_uops=ep.num_selects,
                 ))
             stats.dpred_select_uops += ep.num_selects
-            for _ in range(ep.num_selects):
-                rob.append(ep.resolve)
             if ep.num_selects:
+                rob_extend([ep.resolve] * ep.num_selects)
+                rob_occ += ep.num_selects
                 charge_fetch_slots(ep.num_selects)
+            resolve = ep.resolve
             for reg in ep.select_registers:
-                ready = reg_ready.get(reg, 0)
-                if ep.resolve > ready:
-                    reg_ready[reg] = ep.resolve
+                if resolve > reg_ready[reg]:
+                    reg_ready[reg] = resolve
 
-        for pc, next_pc, address in trace_rows(trace):
-            inst = instructions[pc]
+        for window_start, window_stop in window_bounds(
+            n, self.window_size
+        ):
+            pcs_w = pcs_np[window_start:window_stop]
+            next_w = next_np[window_start:window_stop]
+            kinds_w = kind_table[pcs_w]
+            kinds_l = replay_kind_table[pcs_w].tolist()
+            pcs_l = pcs_w.tolist()
+            lat_w = lat_table[pcs_w]
+            src1_l = src1_table[pcs_w].tolist()
+            src2_l = src2_table[pcs_w].tolist()
+            src3_l = src3_table[pcs_w].tolist()
+            dest_l = dest_table[pcs_w].tolist()
+            if profiling:
+                charge(FETCH)
 
-            # ---- episode bookkeeping at the fetch boundary ----------
-            if episode is not None:
-                if cycle >= episode.resolve:
-                    end_episode_unmerged()
-                elif episode.kind == "hammock" and not episode.true_merged:
-                    at_cfm = pc in episode.cfm_pcs or (
-                        episode.return_cfm and inst.is_return
-                    )
-                    if at_cfm:
-                        episode.true_merged = True
-                        if episode.false_merged and \
-                                episode.false_done_cycle <= episode.resolve:
-                            end_episode_merged(episode.false_done_cycle)
-                        else:
-                            # True path waits for the false path, which
-                            # never merges: dual-path until resolution.
-                            end_episode_unmerged("true-path-waits")
-                if profiling:
-                    charge(DPRED_EPISODE)
+            # D-cache pre-pass (trace-order pure access sequence), or
+            # the addresses the probing loop walks inline.
+            mem_rows = np.nonzero(kinds_w >= _LOAD)[0]
+            mem_addrs = addr_np[window_start:window_stop][mem_rows] \
+                .tolist()
+            mem_cursor = 0
+            if mem_rows.size and not probe:
+                load_mask = kinds_w[mem_rows] == _LOAD
+                load_list = load_mask.tolist()
+                load_lats = []
+                ap_lat = load_lats.append
+                for address, is_load in zip(mem_addrs, load_list):
+                    latency = data_latency(address)
+                    if is_load:
+                        ap_lat(latency)
+                if load_lats:
+                    lat_w[mem_rows[load_mask]] = load_lats
+            lat_l = lat_w.tolist()
+            if profiling:
+                charge(DCACHE)
+                comp_events[DCACHE] += int(mem_rows.size)
 
-            # ---- ROB slot ---------------------------------------------
-            # Drain until there is space: episodes bulk-insert wrong-path
-            # and select-µop entries, so a single pop per instruction
-            # would quietly stop enforcing the ROB limit.
-            if len(rob) - rob_head >= rob_size:
-                while len(rob) - rob_head >= rob_size:
-                    free_at = retire_one()
+            # Branch-predictor / confidence pre-pass.
+            cond_rows = np.nonzero(kinds_w == _COND)[0]
+            m = int(cond_rows.size)
+            if m:
+                (cond_pred, cond_low, cond_mis,
+                 n_mis, n_low, n_low_mis) = self._branch_prepass(
+                    pcs_w[cond_rows],
+                    next_w[cond_rows] != pcs_w[cond_rows] + 1,
+                )
+            else:
+                cond_pred = cond_low = cond_mis = ()
+                n_mis = n_low = n_low_mis = 0
+            stats.conditional_branches += m
+            stats.mispredictions += n_mis
+            stats.low_confidence_branches += n_low
+            stats.low_confidence_mispredicted += n_low_mis
+
+            # BTB / RAS pre-pass.
+            ctl_taken, ctl_extra = self._control_prepass(
+                kinds_w, pcs_w, next_w, cond_mis
+            )
+            if profiling:
+                charge(BRANCH_PRED)
+                comp_events[BRANCH_PRED] += len(ctl_taken)
+
+            cond_cursor = 0
+            ctl_cursor = 0
+
+            # ---- lean replay over the window ------------------------
+            for k, pc, lat, src1, src2, src3, dest in zip(
+                kinds_l, pcs_l, lat_l, src1_l, src2_l, src3_l, dest_l
+            ):
+                # ---- episode bookkeeping at the fetch boundary ------
+                if episode is not None:
+                    if profiling:
+                        charge(DATAFLOW)
+                    if cycle >= episode.resolve:
+                        end_episode_unmerged()
+                    elif episode.kind == "hammock" \
+                            and not episode.true_merged:
+                        if pc in episode.cfm_pcs or (
+                            episode.return_cfm and k == _RET
+                        ):
+                            episode.true_merged = True
+                            if episode.false_merged and \
+                                    episode.false_done_cycle \
+                                    <= episode.resolve:
+                                end_episode_merged(
+                                    episode.false_done_cycle)
+                            else:
+                                end_episode_unmerged("true-path-waits")
+                    if profiling:
+                        charge(DPRED_EPISODE)
+
+                # ---- ROB slot ---------------------------------------
+                if rob_occ >= rob_size:
+                    if profiling:
+                        charge(DATAFLOW)
+                    need = rob_occ - rob_size + 1
+                    rob_occ = rob_size - 1
+                    if need == 1:
+                        ready = retire_width * rob[rob_head]
+                        rob_head += 1
+                        p += 1
+                        if ready > p:
+                            p = ready
+                    else:
+                        best = p + need
+                        base = rob_head
+                        for offset in range(need):
+                            ready = (retire_width * rob[base + offset]
+                                     + need - offset - 1)
+                            if ready > best:
+                                best = ready
+                        p = best
+                        rob_head = base + need
+                    free_at = p // retire_width
                     if free_at > cycle:
                         cycle = free_at
                         slots_used = 0
                         cond_used = 0
-                if profiling:
-                    charge(ROB_RETIRE)
+                    if profiling:
+                        charge(ROB_RETIRE)
 
-            # ---- fetch slot -------------------------------------------
-            if episode is not None and episode.half_width \
-                    and cycle < episode.false_done_cycle:
-                width = max(1, fetch_width // 2)
-            else:
-                width = fetch_width
-            if slots_used >= width or (
-                inst.is_conditional_branch and cond_used >= max_cond
-            ):
-                new_fetch_group(pc)
-            fetch_cycle = cycle
-            slots_used += 1
-            if inst.is_conditional_branch:
-                cond_used += 1
-            if profiling:
-                charge(FETCH)
-                comp_events[FETCH] += 1
+                # ---- fetch slot -------------------------------------
+                if episode is not None and episode.half_width \
+                        and cycle < episode.false_done_cycle:
+                    width = half_width
+                else:
+                    width = fetch_width
+                if slots_used >= width or (
+                    k == _COND and cond_used >= max_cond
+                ):
+                    cycle += 1
+                    slots_used = 0
+                    cond_used = 0
+                    if probe:
+                        stall = instruction_latency(pc) - icache_latency
+                        if profiling:
+                            comp_events[ICACHE] += 1
+                        if stall > 0:
+                            stats.icache_misses += 1
+                            if traced:
+                                tracer.emit(obs_events.CacheMiss(
+                                    level="icache", pc=pc, cycle=cycle,
+                                    stall_cycles=stall,
+                                ))
+                            cycle += stall
+                fetch_cycle = cycle
+                slots_used += 1
 
-            # ---- dataflow timing --------------------------------------
-            dispatch = fetch_cycle + frontend_depth
-            start = dispatch
-            for reg in inst.read_registers():
-                ready = reg_ready.get(reg, 0)
+                # ---- dataflow timing --------------------------------
+                start = fetch_cycle + frontend_depth
+                ready = reg_ready[src1]
                 if ready > start:
                     start = ready
-            if inst.is_load:
-                if profiling:
-                    charge(DATAFLOW)
-                data_latency = memory.data_latency(address)
-                if profiling:
-                    charge(DCACHE)
-                    comp_events[DCACHE] += 1
-                complete = start + data_latency
-            elif inst.is_store:
-                if profiling:
-                    charge(DATAFLOW)
-                memory.data_latency(address)
-                if profiling:
-                    charge(DCACHE)
-                    comp_events[DCACHE] += 1
-                complete = start + inst.latency
-            else:
-                complete = start + inst.latency
-            dest = inst.written_register()
-            if dest is not None and dest != 0:
+                ready = reg_ready[src2]
+                if ready > start:
+                    start = ready
+                ready = reg_ready[src3]
+                if ready > start:
+                    start = ready
+                complete = start + lat
                 reg_ready[dest] = complete
-            rob.append(complete)
-            last_complete = complete
-            stats.retired_instructions += 1
-            if profiling:
-                charge(DATAFLOW)
-                comp_events[DATAFLOW] += 1
+                rob_append(complete)
+                rob_occ += 1
+                last_complete = complete
 
-            # ---- control flow -----------------------------------------
-            taken = next_pc != pc + 1
-            if inst.is_conditional_branch:
-                stats.conditional_branches += 1
-                predicted = predictor.predict(pc)
-                low_conf = confidence.is_low_confidence(pc)
-                mispredicted = predicted != taken
-                predictor.update(pc, taken)
-                confidence.update(pc, mispredicted,
-                                  was_low_confidence=low_conf)
-                bias.record(pc, taken)
-                if mispredicted:
-                    stats.mispredictions += 1
-                if low_conf:
-                    stats.low_confidence_branches += 1
-                    if mispredicted:
-                        stats.low_confidence_mispredicted += 1
-                if per_branch is not None:
-                    counters = branch_counters(pc)
-                    counters[0] += 1
-                    if mispredicted:
-                        counters[1] += 1
-                if profiling:
-                    charge(BRANCH_PRED)
-                    comp_events[BRANCH_PRED] += 1
-
-                resolve = complete
-                diverge = annotation.get(pc) if annotation else None
-                entered = False
-                expected_remaining = 1.0
-                if diverge is not None \
-                        and diverge.kind is DivergeKind.LOOP:
-                    # Trip statistics update on *every* execution.
-                    expected_remaining = self._observe_loop_outcome(
-                        pc, taken == diverge.loop_direction
-                    )
-                if diverge is not None and episode is None:
-                    trigger = diverge.always_predicate or low_conf
-                    if trigger:
-                        if diverge.kind is DivergeKind.LOOP:
-                            entered = self._enter_loop_episode(
-                                stats, diverge, predicted, taken,
-                                fetch_cycle, resolve, expected_remaining,
-                                counters=(
-                                    branch_counters(pc)
-                                    if per_branch is not None else None
-                                ),
-                            )
-                            if entered:
-                                episode = self._loop_episode
+                # ---- memory (probing only) and control flow --------
+                if k:
+                    if k >= _LOAD:
+                        # Walk the D-cache in trace order, after this
+                        # row's I-cache probe; a load completes after
+                        # the access's latency, not the decode one.
+                        latency = data_latency(mem_addrs[mem_cursor])
+                        mem_cursor += 1
+                        if k == _LOAD:
+                            complete += latency - lat
+                            reg_ready[dest] = complete
+                            rob[-1] = complete
+                            last_complete = complete
+                        continue
+                    taken = ctl_taken[ctl_cursor]
+                    extra = ctl_extra[ctl_cursor]
+                    ctl_cursor += 1
+                    if k == _COND:
+                        cond_used += 1
+                        predicted = cond_pred[cond_cursor]
+                        low_conf = cond_low[cond_cursor]
+                        mispredicted = cond_mis[cond_cursor]
+                        cond_cursor += 1
+                        if track:
+                            counters = branch_counters(pc)
+                            counters[0] += 1
+                            if mispredicted:
+                                counters[1] += 1
+                        resolve = complete
+                        if dmp:
+                            bias_count = bias_counters.get(pc, 2)
+                            if taken:
+                                if bias_count < 3:
+                                    bias_counters[pc] = bias_count + 1
+                                else:
+                                    bias_counters[pc] = bias_count
+                            elif bias_count > 0:
+                                bias_counters[pc] = bias_count - 1
+                            else:
+                                bias_counters[pc] = bias_count
+                            diverge = diverge_by_pc[pc]
                         else:
-                            episode = self._make_hammock_episode(
-                                stats, diverge, taken, inst.target,
-                                fetch_cycle, resolve, mispredicted,
-                                charge=charge,
-                            )
-                            entered = True
-                if entered:
-                    ep = episode
-                    if per_branch is not None:
-                        counters = branch_counters(pc)
-                        counters[2] += 1
-                        counters[8] += ep.false_insts
-                        if ep.kind == "loop":
-                            counters[9] += ep.num_selects
-                    if ep.mispredicted:
-                        stats.dpred_flushes_avoided += 1
-                        if per_branch is not None:
-                            counters[3] += 1
-                    # The wrong path occupies the instruction window for
-                    # the whole episode (it retires as NOPs only after
-                    # the diverge branch resolves) — this is what makes
-                    # dynamically predicating very large hammocks
-                    # unprofitable (the §7.1.1 MAX_INSTR effect).
-                    stats.dpred_wrong_path_insts += ep.false_insts
-                    for _ in range(ep.false_insts):
-                        rob.append(ep.resolve)
-                    if ep.kind == "loop" and ep.num_selects:
-                        # Per-iteration select-µops consume fetch slots
-                        # across the episode (Equation 18).
-                        charge_fetch_slots(ep.num_selects)
-                        stats.dpred_select_uops += ep.num_selects
-                        for _ in range(ep.num_selects):
-                            rob.append(ep.resolve)
-                    if profiling:
-                        charge(DPRED_EPISODE)
-                        comp_events[DPRED_EPISODE] += 1
-                        comp_events[WRONG_PATH] += ep.false_insts
-                elif mispredicted and episode is not None \
-                        and episode.kind == "loop" \
-                        and episode.branch_pc == pc \
-                        and diverge is not None \
-                        and predicted == diverge.loop_direction:
-                    # A later instance of the predicated loop branch
-                    # inside the active episode: the over-iteration
-                    # (late-exit) misprediction is covered — the extra
-                    # iterations become NOPs instead of flushing, but
-                    # they do consume fetch bandwidth and ROB space
-                    # until the branch resolves.
-                    stats.dpred_flushes_avoided += 1
-                    episode.resolve = max(episode.resolve, resolve)
-                    episode.half_width = True
-                    extra = min(
-                        max(1, diverge.loop_body_size) * 2,
-                        self.config.dpred_max_wrong_path_insts,
-                    )
-                    if per_branch is not None:
-                        counters = branch_counters(pc)
-                        counters[3] += 1
-                        counters[8] += extra
-                    if traced:
-                        tracer.emit(obs_events.DpredEpisodeExtend(
-                            branch_pc=pc, cycle=cycle, extra_insts=extra,
-                        ))
-                    episode.false_insts += extra
-                    stats.dpred_wrong_path_insts += extra
-                    for _ in range(extra):
-                        rob.append(resolve)
-                    per_cycle = max(1, fetch_width // 2)
-                    episode.false_done_cycle = max(
-                        episode.false_done_cycle,
-                        fetch_cycle + max(1, -(-extra // per_cycle)),
-                    )
-                    if profiling:
-                        charge(DPRED_EPISODE)
-                        comp_events[DPRED_EPISODE] += 1
-                        comp_events[WRONG_PATH] += extra
-                elif mispredicted:
-                    if episode is not None:
-                        # A mispredicted branch on a predicated path
-                        # flushes and squashes the episode.
-                        hist_episode_cycles.observe(
-                            max(0, cycle - episode.start_cycle))
-                        if per_branch is not None:
-                            counters = branch_counters(episode.branch_pc)
-                            counters[7] += 1
-                            counters[10] += max(
-                                0, cycle - episode.start_cycle)
-                        if traced:
-                            tracer.emit(obs_events.DpredEpisodeFlush(
-                                branch_pc=episode.branch_pc,
-                                cycle=cycle,
-                                duration_cycles=max(
-                                    0, cycle - episode.start_cycle),
-                                flushed_by_pc=pc,
-                                source="branch-mispredict",
-                            ))
-                        episode = None
-                    stats.pipeline_flushes += 1
-                    if traced:
-                        tracer.emit(obs_events.PipelineFlush(
-                            pc=pc, cycle=cycle,
-                            source="branch-mispredict",
-                        ))
-                    if per_branch is not None:
-                        branch_counters(pc)[4] += 1
-                    cycle = max(cycle, resolve + redirect)
-                    slots_used = 0
-                    cond_used = 0
-                if taken and not mispredicted:
-                    bubble = self._btb_miss_bubble(pc, next_pc)
-                    if bubble:
-                        cycle += bubble
+                            diverge = None
+                        entered = False
+                        if diverge is not None:
+                            expected_remaining = 1.0
+                            if diverge.kind is DivergeKind.LOOP:
+                                expected_remaining = \
+                                    self._observe_loop_outcome(
+                                        pc,
+                                        taken == diverge.loop_direction,
+                                    )
+                            if episode is None and (
+                                diverge.always_predicate or low_conf
+                            ):
+                                if profiling:
+                                    charge(DATAFLOW)
+                                if diverge.kind is DivergeKind.LOOP:
+                                    entered = self._enter_loop_episode(
+                                        stats, diverge, predicted, taken,
+                                        fetch_cycle, resolve,
+                                        expected_remaining,
+                                        counters=(
+                                            branch_counters(pc)
+                                            if track else None
+                                        ),
+                                    )
+                                    if entered:
+                                        episode = self._loop_episode
+                                else:
+                                    episode = self._make_hammock_episode(
+                                        stats, diverge, taken,
+                                        target_by_pc[pc],
+                                        fetch_cycle, resolve,
+                                        mispredicted,
+                                        charge=charge,
+                                    )
+                                    entered = True
+                            if entered:
+                                ep = episode
+                                if track:
+                                    counters = branch_counters(pc)
+                                    counters[2] += 1
+                                    counters[8] += ep.false_insts
+                                    if ep.kind == "loop":
+                                        counters[9] += ep.num_selects
+                                if ep.mispredicted:
+                                    stats.dpred_flushes_avoided += 1
+                                    if track:
+                                        counters[3] += 1
+                                stats.dpred_wrong_path_insts += \
+                                    ep.false_insts
+                                if ep.false_insts:
+                                    rob_extend(
+                                        [ep.resolve] * ep.false_insts)
+                                    rob_occ += ep.false_insts
+                                if ep.kind == "loop" and ep.num_selects:
+                                    charge_fetch_slots(ep.num_selects)
+                                    stats.dpred_select_uops += \
+                                        ep.num_selects
+                                    rob_extend(
+                                        [ep.resolve] * ep.num_selects)
+                                    rob_occ += ep.num_selects
+                                if profiling:
+                                    charge(DPRED_EPISODE)
+                                    comp_events[DPRED_EPISODE] += 1
+                                    comp_events[WRONG_PATH] += \
+                                        ep.false_insts
+                        if not entered:
+                            if mispredicted and episode is not None \
+                                    and episode.kind == "loop" \
+                                    and episode.branch_pc == pc \
+                                    and diverge is not None \
+                                    and predicted \
+                                    == diverge.loop_direction:
+                                if profiling:
+                                    charge(DATAFLOW)
+                                stats.dpred_flushes_avoided += 1
+                                if resolve > episode.resolve:
+                                    episode.resolve = resolve
+                                episode.half_width = True
+                                extra_insts = \
+                                    max(1, diverge.loop_body_size) * 2
+                                if extra_insts > max_wrong_path:
+                                    extra_insts = max_wrong_path
+                                if track:
+                                    counters = branch_counters(pc)
+                                    counters[3] += 1
+                                    counters[8] += extra_insts
+                                if traced:
+                                    tracer.emit(
+                                        obs_events.DpredEpisodeExtend(
+                                            branch_pc=pc, cycle=cycle,
+                                            extra_insts=extra_insts,
+                                        ))
+                                episode.false_insts += extra_insts
+                                stats.dpred_wrong_path_insts += \
+                                    extra_insts
+                                rob_extend([resolve] * extra_insts)
+                                rob_occ += extra_insts
+                                done = fetch_cycle + max(
+                                    1, -(-extra_insts // half_width)
+                                )
+                                if done > episode.false_done_cycle:
+                                    episode.false_done_cycle = done
+                                if profiling:
+                                    charge(DPRED_EPISODE)
+                                    comp_events[DPRED_EPISODE] += 1
+                                    comp_events[WRONG_PATH] += \
+                                        extra_insts
+                            elif mispredicted:
+                                if profiling:
+                                    charge(DATAFLOW)
+                                if episode is not None:
+                                    duration = \
+                                        cycle - episode.start_cycle
+                                    if duration < 0:
+                                        duration = 0
+                                    hist_episode_cycles.observe(
+                                        duration)
+                                    if track:
+                                        counters = branch_counters(
+                                            episode.branch_pc)
+                                        counters[7] += 1
+                                        counters[10] += duration
+                                    if traced:
+                                        tracer.emit(
+                                            obs_events.DpredEpisodeFlush(
+                                                branch_pc=(
+                                                    episode.branch_pc),
+                                                cycle=cycle,
+                                                duration_cycles=duration,
+                                                flushed_by_pc=pc,
+                                                source=(
+                                                    "branch-mispredict"),
+                                            ))
+                                    episode = None
+                                stats.pipeline_flushes += 1
+                                if traced:
+                                    tracer.emit(obs_events.PipelineFlush(
+                                        pc=pc, cycle=cycle,
+                                        source="branch-mispredict",
+                                    ))
+                                if track:
+                                    branch_counters(pc)[4] += 1
+                                redirected = resolve + redirect
+                                if redirected > cycle:
+                                    cycle = redirected
+                                slots_used = 0
+                                cond_used = 0
+                                if profiling:
+                                    charge(BRANCH_PRED)
+                        # extra is nonzero only for taken,
+                        # correctly-predicted cond rows (the pre-pass
+                        # encodes the taken/!mispredicted gate).
+                        if extra:
+                            cycle += extra
+                            slots_used = 0
+                            cond_used = 0
+                    elif k == _RET:
+                        if not extra:        # RAS mispredicted
+                            if profiling:
+                                charge(DATAFLOW)
+                            stats.pipeline_flushes += 1
+                            if track:
+                                branch_counters(pc)[4] += 1
+                            if traced:
+                                tracer.emit(obs_events.PipelineFlush(
+                                    pc=pc, cycle=cycle,
+                                    source="return-mispredict",
+                                ))
+                            if episode is not None:
+                                duration = cycle - episode.start_cycle
+                                if duration < 0:
+                                    duration = 0
+                                hist_episode_cycles.observe(duration)
+                                if track:
+                                    counters = branch_counters(
+                                        episode.branch_pc)
+                                    counters[7] += 1
+                                    counters[10] += duration
+                                if traced:
+                                    tracer.emit(
+                                        obs_events.DpredEpisodeFlush(
+                                            branch_pc=episode.branch_pc,
+                                            cycle=cycle,
+                                            duration_cycles=duration,
+                                            flushed_by_pc=pc,
+                                            source="return-mispredict",
+                                        ))
+                                episode = None
+                            redirected = complete + redirect
+                            if redirected > cycle:
+                                cycle = redirected
+                            slots_used = 0
+                            cond_used = 0
+                            if profiling:
+                                charge(BRANCH_PRED)
+                    elif extra:              # JMP / CALL BTB bubble
+                        cycle += extra
                         slots_used = 0
                         cond_used = 0
-                if profiling:
-                    charge(BRANCH_PRED)
-            elif inst.op is Opcode.JMP:
-                bubble = self._btb_miss_bubble(pc, next_pc)
-                if bubble:
-                    cycle += bubble
-                    slots_used = 0
-                    cond_used = 0
-                if profiling:
-                    charge(BRANCH_PRED)
-                    comp_events[BRANCH_PRED] += 1
-            elif inst.is_call:
-                self.ras.push(pc + 1)
-                bubble = self._btb_miss_bubble(pc, next_pc)
-                if bubble:
-                    cycle += bubble
-                    slots_used = 0
-                    cond_used = 0
-                if profiling:
-                    charge(BRANCH_PRED)
-                    comp_events[BRANCH_PRED] += 1
-            elif inst.is_return:
-                correct = self.ras.pop_predict(next_pc)
-                if not correct:
-                    stats.pipeline_flushes += 1
-                    if per_branch is not None:
-                        # Attributed to the return pc; the per-branch
-                        # snapshot in SimStats only emits conditional
-                        # branches (executions > 0), so this feeds the
-                        # ledger without changing the coverage report.
-                        branch_counters(pc)[4] += 1
-                    if traced:
-                        tracer.emit(obs_events.PipelineFlush(
-                            pc=pc, cycle=cycle,
-                            source="return-mispredict",
-                        ))
-                    if episode is not None:
-                        hist_episode_cycles.observe(
-                            max(0, cycle - episode.start_cycle))
-                        if per_branch is not None:
-                            counters = branch_counters(episode.branch_pc)
-                            counters[7] += 1
-                            counters[10] += max(
-                                0, cycle - episode.start_cycle)
-                        if traced:
-                            tracer.emit(obs_events.DpredEpisodeFlush(
-                                branch_pc=episode.branch_pc,
-                                cycle=cycle,
-                                duration_cycles=max(
-                                    0, cycle - episode.start_cycle),
-                                flushed_by_pc=pc,
-                                source="return-mispredict",
-                            ))
-                        episode = None
-                    cycle = max(cycle, complete + redirect)
-                    slots_used = 0
-                    cond_used = 0
-                if profiling:
-                    charge(BRANCH_PRED)
-                    comp_events[BRANCH_PRED] += 1
+                    # Taken control flow ends the fetch group.
+                    if taken:
+                        slots_used = fetch_width + 1
 
-            # Taken control flow ends the fetch group.
-            if taken and inst.is_control:
-                slots_used = fetch_width + 1
+            if profiling:
+                charge(DATAFLOW)
+                rows = window_stop - window_start
+                comp_events[FETCH] += rows
+                comp_events[DATAFLOW] += rows
 
         # ---- drain -----------------------------------------------------
-        while rob_head < len(rob):
-            retire_one()
+        remaining = rob_occ
+        if remaining:
+            completes = np.array(rob[rob_head:], dtype=np.int64)
+            offsets = np.arange(remaining - 1, -1, -1, dtype=np.int64)
+            best = int((retire_width * completes + offsets).max())
+            bumped = p + remaining
+            p = best if best > bumped else bumped
+            rob_head = len(rob)
+        last_retire_cycle = p // retire_width if p >= 0 else 0
         if profiling:
             charge(ROB_RETIRE)
-            # Every ROB entry (true-path, wrong-path, select-µop)
-            # retires exactly once, drains included — deterministic.
             comp_events[ROB_RETIRE] = len(rob)
-        stats.cycles = max(last_retire_cycle, last_complete, cycle)
+        stats.retired_instructions = n
+        if cycle < last_retire_cycle:
+            cycle = last_retire_cycle
+        if cycle < last_complete:
+            cycle = last_complete
+        stats.cycles = cycle
         stats.dcache_misses = self.memory.dcache.misses
         stats.l2_misses = self.memory.l2.misses
         if self.collect_per_branch:
-            # The coverage-report snapshot keeps its original shape:
-            # conditional branches only (executions > 0 — return pcs
-            # accrue flushes for the ledger but never execute as
-            # branches) with the legacy five keys.
             stats.per_branch = {
                 pc: {
                     "executions": c[0],
@@ -968,29 +1445,9 @@ class TimingSimulator:
         self._loop_episode = episode
         return True
 
-    def _btb_miss_bubble(self, pc, target):
-        """Bubble cycles when a taken control's target misses the BTB.
-
-        Direct targets are discovered at decode on a miss, so the front
-        end loses the BTB's ``miss_bubble_cycles``; the entry is filled
-        for next time.
-        """
-        predicted = self.btb.lookup(pc)
-        if predicted == target:
-            return 0
-        self.btb.insert(pc, target)
-        return self.btb.miss_bubble_cycles
-
 
 def simulate(program, trace, config=None, annotation=None, label=""):
-    """One-call convenience: build a simulator and run ``trace``.
-
-    Goes through the engine-resolution rules (``config.sim_engine`` /
-    process default / ``auto``), so it may pick the vectorized batch
-    replay — the result is bit-identical either way.
-    """
-    from repro.uarch.engine import make_simulator
-
-    simulator = make_simulator(program, config=config,
-                               annotation=annotation)
+    """One-call convenience: build a simulator and run ``trace``."""
+    simulator = TimingSimulator(program, config=config,
+                                annotation=annotation)
     return simulator.run(trace, label=label)

@@ -140,6 +140,9 @@ class TestSpec:
     @pytest.mark.parametrize("axis", [
         Axis("not_a_threshold", (1,)),
         Axis("proc.not_a_field", (1,)),
+        Axis("proc.icache_assoc", (2, 0)),
+        Axis("proc.rob_size", ("x",)),
+        Axis("proc.fetch_width", (1.5,)),
         Axis("selection", ("not-a-preset",)),
     ])
     def test_bad_axes_rejected(self, axis):

@@ -41,14 +41,6 @@ def fake_cell(params):
     }
 
 
-def engine_cell(params):
-    """Reports the engine a forked worker would resolve to."""
-    from repro.uarch.engine import get_default_engine
-
-    return {"engine": get_default_engine(), "speedup": 1.0,
-            "baseline": {}, "stats": {}}
-
-
 def _spec(name="shards", benchmarks=("gzip", "twolf"),
           cell="tests.test_campaign_backends:fake_cell"):
     return CampaignSpec(
@@ -61,14 +53,13 @@ def _spec(name="shards", benchmarks=("gzip", "twolf"),
     )
 
 
-def _run_scheduler(spec, journal_path, backend=None, sim_engine=None):
+def _run_scheduler(spec, journal_path, backend=None):
     state = replay(journal_path)
     with telemetry(metrics=MetricsRegistry(), phases=PhaseProfile()):
         with Journal(journal_path) as journal:
             journal.campaign_start(spec.name, spec.spec_hash, 1)
             scheduler = Scheduler(
                 spec, journal, backoff=0.0, backend=backend,
-                sim_engine=sim_engine,
             )
             return scheduler.run(state)
 
@@ -250,37 +241,3 @@ class TestShardedExecution:
                 ["campaign", "run", str(spec_file), "--results-dir",
                  str(tmp_path), "--shards", "2"]
             )
-
-
-class TestWorkerEngineResolution:
-    """Engine precedence holds inside forked shard/pool workers."""
-
-    ENGINE_SPEC = dict(
-        name="engines", benchmarks=("gzip",),
-        cell="tests.test_campaign_backends:engine_cell",
-    )
-
-    def _engines(self, summary):
-        return {r["engine"] for r in summary["results"].values()}
-
-    def test_explicit_sim_engine_wins_in_workers(self, tmp_path):
-        spec = _spec(**self.ENGINE_SPEC)
-        summary = _run_scheduler(
-            spec, str(tmp_path / "journal.jsonl"), sim_engine="scalar"
-        )
-        assert self._engines(summary) == {"scalar"}
-
-    def test_env_engine_reaches_forked_workers(self, tmp_path,
-                                               monkeypatch):
-        monkeypatch.setattr("repro.uarch.engine._default_engine", None)
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "vectorized")
-        spec = _spec(**self.ENGINE_SPEC)
-        summary = _run_scheduler(spec, str(tmp_path / "journal.jsonl"))
-        assert self._engines(summary) == {"vectorized"}
-
-    def test_default_is_auto(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.uarch.engine._default_engine", None)
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        spec = _spec(**self.ENGINE_SPEC)
-        summary = _run_scheduler(spec, str(tmp_path / "journal.jsonl"))
-        assert self._engines(summary) == {"auto"}

@@ -525,64 +525,50 @@ class TestHTTP:
 
 
 class TestEngineResolution:
-    """Per-request overrides are thread-local; env/process defaults
-    behave identically to the CLI path (PR 7 precedence)."""
-
-    def test_engine_override_is_thread_local(self):
-        from repro.uarch.engine import engine_override, get_default_engine
-
-        barrier = threading.Barrier(2, timeout=5)
-        seen = {}
-
-        def worker(name, engine):
-            with engine_override(engine):
-                barrier.wait()
-                seen[name] = get_default_engine()
-                barrier.wait()
-
-        threads = [
-            threading.Thread(target=worker, args=("a", "scalar")),
-            threading.Thread(target=worker, args=("b", "vectorized")),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=5)
-        assert seen == {"a": "scalar", "b": "vectorized"}
-
-    def test_env_default_reaches_request_threads(self, monkeypatch):
-        from repro.uarch.engine import get_default_engine
-
-        monkeypatch.setattr("repro.uarch.engine._default_engine", None)
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "scalar")
-        result = {}
-
-        def worker():
-            result["engine"] = get_default_engine()
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join(timeout=5)
-        assert result["engine"] == "scalar"
-
-    def test_per_request_engine_does_not_change_the_bytes(self, app):
-        _, scalar = app.handle("simulate", {
-            "benchmark": BENCH, "scale": SCALE, "engine": "scalar",
-        })
-        # Engine is excluded from the coalescing key, so clear the
-        # sequential-call path by asserting on a fresh app.
-        other = ServeApp()
-        with telemetry(metrics=other.registry):
-            _, auto = other.handle("simulate", {
-                "benchmark": BENCH, "scale": SCALE,
-            })
-        assert scalar == auto
+    """There is one simulator: the former per-request ``engine`` field
+    is an unknown field like any other."""
 
     def test_invalid_engine_is_rejected(self, app):
+        for engine in ("warp", "scalar", "vectorized"):
+            status, body = app.handle("simulate", {
+                "benchmark": BENCH, "scale": SCALE, "engine": engine,
+            })
+            assert status == 400
+            assert "unknown field(s) engine" in json.loads(body)["error"]
+
+
+class TestProcessorOverrides:
+    """``processor`` overrides are validated once, before the cell id."""
+
+    @pytest.mark.parametrize("processor,field", [
+        ({"icache_assoc": 0}, "icache_assoc"),
+        ({"bogus": 1}, "bogus"),
+        ({"rob_size": "x"}, "rob_size"),
+        ({"fetch_width": 1.5}, "fetch_width"),
+        ({"sim_engine": "scalar"}, "sim_engine"),
+    ])
+    def test_bad_override_is_400(self, app, processor, field):
         status, body = app.handle("simulate", {
-            "benchmark": BENCH, "scale": SCALE, "engine": "warp",
+            "benchmark": BENCH, "scale": SCALE, "processor": processor,
         })
         assert status == 400
+        assert field in json.loads(body)["error"]
+
+    def test_non_resident_icache_simulates(self, app):
+        """A 1 KB direct-mapped I-cache cannot hold the program, so the
+        simulator probes it per fetch group; the answer is still the
+        campaign cell's."""
+        processor = {"icache_kb": 1, "icache_assoc": 1}
+        status, body = app.handle("simulate", {
+            "benchmark": BENCH, "scale": SCALE, "processor": processor,
+        })
+        assert status == 200
+        data = json.loads(body)
+        assert data["result"]["baseline"]["icache_misses"] > 0
+        params = dict(data["params"])
+        result = run_cell(params)
+        result.pop("ledger", None)
+        assert data["result"] == result
 
 
 class TestDaemonProcess:

@@ -49,3 +49,22 @@ def test_validation_rejects_nonsense():
 def test_validate_returns_self():
     cfg = ProcessorConfig()
     assert cfg.validate() is cfg
+
+
+@pytest.mark.parametrize("overrides,field", [
+    ({"icache_assoc": 0}, "icache_assoc"),
+    ({"rob_size": "x"}, "rob_size"),
+    ({"fetch_width": 1.5}, "fetch_width"),
+    ({"btb_entries": True}, "btb_entries"),
+    ({"l2_latency": -1}, "l2_latency"),
+    ({"predictor_kind": "oracle"}, "predictor_kind"),
+])
+def test_validation_names_the_bad_field(overrides, field):
+    with pytest.raises(ValueError, match=field):
+        ProcessorConfig(**overrides).validate()
+
+
+def test_zero_is_allowed_where_it_means_none():
+    cfg = ProcessorConfig(confidence_history=0, redirect_penalty=0,
+                          num_cfm_registers=0)
+    assert cfg.validate() is cfg

@@ -1,10 +1,13 @@
-"""Vectorized batch-replay engine: bit-identity and engine selection.
+"""The batch replay against the frozen scalar oracle.
 
-The contract under test (see ``repro.uarch.vectorized``): the
-vectorized engine produces *bit-identical* ``SimStats`` — including
-per-branch counters, runtime-ledger rows, and the tracer event stream
-— to the scalar engine for every supported (program, config,
-annotation) triple, at every window size.
+The contract under test (see ``repro.uarch.simulator``): the batch
+replay of :class:`~repro.uarch.TimingSimulator` produces *bit-identical*
+``SimStats`` — including per-branch counters, runtime-ledger rows, and
+the tracer event stream — to the one-row-at-a-time replay frozen in
+:mod:`tests._reference_sim`, for every (program, config, annotation)
+triple at every window size.  That includes configs whose I-cache
+cannot hold the program, where the replay probes the I-cache per fetch
+group and walks the D-cache inline.
 """
 
 import json
@@ -20,18 +23,8 @@ from repro.isa import assemble
 from repro.obs.ledger import RuntimeLedger
 from repro.obs.tracer import ListSink, Tracer
 from repro.profiling import Profiler
-from repro.uarch import (
-    ProcessorConfig,
-    TimingSimulator,
-    VectorizedTimingSimulator,
-    engine_override,
-    get_default_engine,
-    make_simulator,
-    resolve_engine,
-    set_default_engine,
-    vectorized_support,
-)
-from repro.uarch.engine import ENV_SIM_ENGINE
+from repro.uarch import ProcessorConfig, TimingSimulator
+from repro.uarch.simulator import supports
 from repro.workloads import load_benchmark
 from repro.workloads.generator import (
     BenchmarkSpec,
@@ -41,6 +34,7 @@ from repro.workloads.generator import (
 )
 from repro.workloads.suite import BENCHMARK_SPECS
 
+from tests._reference_sim import ReferenceSimulator
 from tests.test_simulator_dmp import hammock_annotation, hammock_setup
 
 
@@ -66,19 +60,29 @@ def _profiled_trace(program, memory, max_instructions=200_000):
 
 
 def _run_pair(program, trace, annotation=None, config=None,
-              window_size=None, label="run"):
-    """Scalar and vectorized stats dicts + ledger rows for one input."""
+              window_size=None, label="run", events=False):
+    """Oracle and batch-replay results for one input.
+
+    Each result is ``(stats dict, ledger rows)``, plus the tracer's
+    JSON-encoded event stream when ``events`` is set.
+    """
     out = []
-    for cls in (TimingSimulator, VectorizedTimingSimulator):
+    for cls in (ReferenceSimulator, TimingSimulator):
         kwargs = {}
-        if cls is VectorizedTimingSimulator and window_size is not None:
+        if cls is TimingSimulator and window_size is not None:
             kwargs["window_size"] = window_size
+        if events:
+            sink = ListSink()
+            kwargs["tracer"] = Tracer(sink)
         ledger = RuntimeLedger()
         stats = cls(
             program, config=config, annotation=annotation,
             collect_per_branch=True, ledger=ledger, **kwargs
         ).run(trace, label=label)
-        out.append((stats.as_dict(per_branch=True), ledger._branches))
+        result = (stats.as_dict(per_branch=True), ledger._branches)
+        if events:
+            result += (json.dumps(sink.records, sort_keys=True),)
+        out.append(result)
     return out
 
 
@@ -118,7 +122,7 @@ class TestEventStreamIdentity:
             workload.program, profile, SelectionConfig.all_best_heur()
         )
         streams = []
-        for cls in (TimingSimulator, VectorizedTimingSimulator):
+        for cls in (ReferenceSimulator, TimingSimulator):
             sink = ListSink()
             cls(workload.program, annotation=annotation,
                 tracer=Tracer(sink)).run(trace, label=name)
@@ -131,12 +135,12 @@ class TestWindowBoundaries:
         """Tiny windows force episode entries/flushes onto boundaries."""
         program, trace = hammock_setup()
         annotation = hammock_annotation()
-        reference = TimingSimulator(
+        reference = ReferenceSimulator(
             program, annotation=annotation
         ).run(trace).as_dict()
         assert reference["dpred_episodes"] > 0
         for window_size in (1, 2, 3, 5, 7, 16, 64, 1000):
-            got = VectorizedTimingSimulator(
+            got = TimingSimulator(
                 program, annotation=annotation, window_size=window_size
             ).run(trace).as_dict()
             assert got == reference, f"window_size={window_size}"
@@ -152,12 +156,12 @@ class TestWindowBoundaries:
             i for i, (pc, _, _) in enumerate(trace_rows(trace))
             if pc == HAMMOCK_BRANCH
         )
-        reference = TimingSimulator(
+        reference = ReferenceSimulator(
             program, annotation=annotation
         ).run(trace).as_dict()
         assert reference["dpred_episodes"] > 0
         for window_size in (first, first + 1, max(1, first - 1)):
-            got = VectorizedTimingSimulator(
+            got = TimingSimulator(
                 program, annotation=annotation, window_size=window_size
             ).run(trace).as_dict()
             assert got == reference, f"window_size={window_size}"
@@ -168,14 +172,13 @@ class TestWindowBoundaries:
             workload.program, memory=workload.memory,
             max_instructions=workload.max_instructions, compact=False,
         )
-        assert TimingSimulator(workload.program).run(trace).as_dict() \
-            == VectorizedTimingSimulator(
-                workload.program).run(trace).as_dict()
+        assert ReferenceSimulator(workload.program).run(trace).as_dict() \
+            == TimingSimulator(workload.program).run(trace).as_dict()
 
     def test_window_size_validated(self):
         workload = load_benchmark("gzip", scale=0.05)
         with pytest.raises(SimulationError):
-            VectorizedTimingSimulator(workload.program, window_size=0)
+            TimingSimulator(workload.program, window_size=0)
 
 
 REGION_KINDS = (
@@ -233,90 +236,120 @@ class TestPropertyBitIdentity:
         assert scalar_led == vec_led
 
 
+#: A 1 KB direct-mapped I-cache holds no shipped workload.
+NON_RESIDENT = ProcessorConfig(icache_kb=1, icache_assoc=1)
+
+#: Workloads the config property test draws from.
+PROPERTY_WORKLOADS = ("gzip", "twolf", "gcc", "mcf", "crafty", "go")
+
+_PREPARED = {}
+
+
+def _prepared(name):
+    """``(program, trace, all-best-heur annotation)``, built once."""
+    if name not in _PREPARED:
+        workload = load_benchmark(name, scale=0.05)
+        trace, profile = _profiled_trace(
+            workload.program, workload.memory,
+            workload.max_instructions,
+        )
+        annotation = select_diverge_branches(
+            workload.program, profile, SelectionConfig.all_best_heur()
+        )
+        _PREPARED[name] = (workload.program, trace, annotation)
+    return _PREPARED[name]
+
+
+class TestNonResidentICache:
+    """Configs whose I-cache cannot hold the program: the replay probes
+    the I-cache per fetch group and walks the D-cache inline."""
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_SPECS))
+    def test_workload(self, name):
+        workload = load_benchmark(name, scale=0.05)
+        trace, profile = _profiled_trace(
+            workload.program, workload.memory,
+            workload.max_instructions,
+        )
+        annotation = select_diverge_branches(
+            workload.program, profile, SelectionConfig.all_best_heur()
+        )
+        for marks in (None, annotation):
+            reference, got = _run_pair(
+                workload.program, trace, marks, config=NON_RESIDENT,
+                label=name, events=True,
+            )
+            assert reference == got
+            assert reference[0]["icache_misses"] > 0
+
+    @given(
+        name=st.sampled_from(PROPERTY_WORKLOADS),
+        icache_kb=st.sampled_from((1, 2, 4)),
+        icache_assoc=st.sampled_from((1, 2)),
+        rob_size=st.sampled_from((8, 32, 128, 512)),
+        fetch_width=st.integers(min_value=1, max_value=8),
+        window_size=st.sampled_from((1, 3, 7, 64, 1 << 15)),
+        annotate=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_configs(self, name, icache_kb, icache_assoc,
+                            rob_size, fetch_width, window_size,
+                            annotate):
+        program, trace, annotation = _prepared(name)
+        config = ProcessorConfig(
+            icache_kb=icache_kb, icache_assoc=icache_assoc,
+            rob_size=rob_size, fetch_width=fetch_width,
+        )
+        reference, got = _run_pair(
+            program, trace, annotation if annotate else None,
+            config=config, window_size=window_size, events=True,
+        )
+        assert reference == got
+
+
 class TestEngineSelection:
-    def teardown_method(self):
-        set_default_engine(None)
+    """There is one simulator; ``supports()`` only picks, per run,
+    whether the replay loop probes the I-cache."""
 
     def test_auto_picks_vectorized_when_supported(self):
+        """A resident program keeps the D-cache pre-pass."""
         workload = load_benchmark("gzip", scale=0.05)
-        assert resolve_engine(workload.program) == "vectorized"
-        assert isinstance(make_simulator(workload.program),
-                          VectorizedTimingSimulator)
+        assert not TimingSimulator(workload.program)._probe_icache
 
     def test_auto_falls_back_on_unsupported_program(self):
-        """A tiny I-cache breaks residency → auto quietly uses scalar."""
+        """A tiny I-cache breaks residency → the loop probes."""
         workload = load_benchmark("gzip", scale=0.05)
-        tiny = ProcessorConfig(icache_kb=1, icache_assoc=1)
-        ok, reason = vectorized_support(workload.program, tiny)
+        ok, reason = supports(workload.program, NON_RESIDENT)
         assert not ok and "residency" in reason
-        assert resolve_engine(workload.program, tiny) == "scalar"
-        simulator = make_simulator(workload.program, config=tiny)
-        assert type(simulator) is TimingSimulator
-
-    def test_explicit_vectorized_on_unsupported_raises(self):
-        workload = load_benchmark("gzip", scale=0.05)
-        tiny = ProcessorConfig(icache_kb=1, icache_assoc=1)
-        with pytest.raises(SimulationError):
-            resolve_engine(workload.program, tiny, engine="vectorized")
-        with pytest.raises(SimulationError):
-            VectorizedTimingSimulator(workload.program, config=tiny)
-
-    def test_precedence_explicit_beats_config_beats_default(self):
-        workload = load_benchmark("gzip", scale=0.05)
-        scalar_cfg = ProcessorConfig(sim_engine="scalar")
-        set_default_engine("vectorized")
-        assert resolve_engine(workload.program, scalar_cfg) == "scalar"
-        assert resolve_engine(
-            workload.program, scalar_cfg, engine="vectorized"
-        ) == "vectorized"
-        # auto in the config defers to the process default.
-        auto_cfg = ProcessorConfig(sim_engine="auto")
-        set_default_engine("scalar")
-        assert resolve_engine(workload.program, auto_cfg) == "scalar"
-
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_SIM_ENGINE, "scalar")
-        assert get_default_engine() == "scalar"
-        monkeypatch.setenv(ENV_SIM_ENGINE, "bogus")
-        assert get_default_engine() == "auto"
-
-    def test_engine_override_restores(self):
-        with engine_override("scalar"):
-            assert get_default_engine() == "scalar"
-        assert get_default_engine() == "auto"
-
-    def test_set_default_engine_validates(self):
-        with pytest.raises(ValueError):
-            set_default_engine("hyperspeed")
+        assert TimingSimulator(workload.program,
+                               config=NON_RESIDENT)._probe_icache
 
     def test_config_validate_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            ProcessorConfig(sim_engine="bogus").validate()
+        """The old engine field is unknown to the config."""
+        with pytest.raises(TypeError):
+            ProcessorConfig(sim_engine="bogus")
 
     def test_unknown_engine_name_raises(self):
-        workload = load_benchmark("gzip", scale=0.05)
-        with pytest.raises(SimulationError):
-            resolve_engine(workload.program, engine="warp")
+        """``--sim-engine`` is gone, so every engine name is a usage
+        error."""
+        from repro import __main__ as repro_main
+
+        for name in ("warp", "vectorized"):
+            with pytest.raises(SystemExit) as exc:
+                repro_main.main(["fig5", "--sim-engine", name])
+            assert exc.value.code == 2
 
 
 class TestProfileCliEngine:
     def test_profile_json_validates_with_vectorized(self, tmp_path,
                                                     capsys):
+        """The batch replay's profile record validates; it names no
+        engine because there is only one."""
         from repro.obs.profile_cli import main, validate_profile
 
         out = tmp_path / "profile.json"
         assert main(["gzip", "--scale", "0.1", "--json",
-                     "--sim-engine", "vectorized",
                      "-o", str(out)]) == 0
         data = json.loads(out.read_text())
-        assert data["engine"] == "vectorized"
+        assert "engine" not in data
         assert validate_profile(data) == []
-
-    def test_profile_engine_scalar_reported(self):
-        from repro.obs.profile_cli import build_profile
-
-        data = build_profile(
-            "gzip", SelectionConfig.all_best_cost(), scale=0.1,
-            engine="scalar",
-        )
-        assert data["engine"] == "scalar"
