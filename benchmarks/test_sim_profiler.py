@@ -3,18 +3,17 @@
 The per-component cost attribution in :mod:`repro.uarch.profiler` is
 opt-in: ``TimingSimulator(..., profiler=None)`` — the default — must
 stay on the check-free hot path (kernels are charged per window, never
-per row).  This suite times both paths on the same prebuilt trace, on
-both paths through the replay loop:
+per row).  This suite times both paths on the same prebuilt trace,
+under two machine configurations:
 
 - the Table 1 machine, whose I-cache holds the program, so the loop
-  skips the I-cache probes and the D-cache is a per-window pre-pass
-  (``test_run_vectorized_*``).  ``vectorized_unprofiled_insts_per_sec``
+  makes no I-cache probes (``test_run_vectorized_*``).
+  ``vectorized_unprofiled_insts_per_sec``
   in ``BENCH_simprofiler.json`` is the zero-overhead figure
   ``benchmarks/trajectory.py`` gates against history, so a PR that
   sneaks per-instruction work onto the default path trips CI;
 - a 1 KB direct-mapped I-cache that cannot hold the program, so the
-  loop probes the I-cache per fetch group and walks the D-cache inline
-  (``test_run_probing_*``).
+  loop probes the I-cache per fetch group (``test_run_probing_*``).
 
 Each profiled run records the measured slowdown (the *accepted* cost of
 asking where the time goes) and the attributed component fractions,
@@ -141,7 +140,7 @@ def test_run_vectorized_unprofiled(benchmark, prepared):
 
 
 def test_run_vectorized_profiled(benchmark, prepared):
-    """Per-kernel component attribution on the resident path."""
+    """Per-kernel component attribution on the Table 1 machine."""
     _time_profiled(benchmark, prepared, "vectorized")
 
 

@@ -9,6 +9,12 @@ The hierarchy exposes two queries the timing model uses:
 Both walk the levels, allocating on miss, and return the total access
 latency.  Bank/bus contention is not modelled (documented limitation);
 the 300-cycle memory latency dominates where it matters.
+
+:meth:`data_latency` is also available in its two halves,
+:meth:`data_l1_hit` (L1 D only) and :meth:`data_miss_latency` (the
+L2 walk of an L1 D miss).  The L1 D is private to the data side, so a
+caller may run the first half over many accesses ahead of the second,
+as long as each half keeps trace order.
 """
 
 from repro.memory.cache import Cache
@@ -56,6 +62,9 @@ class MemoryHierarchy:
 
     def data_latency(self, address):
         """Access latency for a load/store to word ``address``."""
+        # Not written as the two halves below: the scalar test oracle
+        # calls this per access, and the batch replay's >= 5x speedup
+        # benchmark is timed against that oracle.
         if self.dcache.access(address):
             return self.dcache_latency
         # Miss: a simple next-line prefetcher hides sequential streams
@@ -64,6 +73,25 @@ class MemoryHierarchy:
             next_line = address + self.dcache.words_per_line
             self.dcache.access(next_line)
             self.l2.access(next_line)
+        if self.l2.access(address):
+            return self.dcache_latency + self.l2_latency
+        return self.dcache_latency + self.l2_latency + self.memory_latency
+
+    def data_l1_hit(self, address):
+        """The L1 D half of :meth:`data_latency`; True on a hit.
+
+        A miss also fills the prefetched next line into the L1 D.
+        """
+        if self.dcache.access(address):
+            return True
+        if self.prefetch_next_line:
+            self.dcache.access(address + self.dcache.words_per_line)
+        return False
+
+    def data_miss_latency(self, address):
+        """The L2 half of :meth:`data_latency`, for an L1 D miss."""
+        if self.prefetch_next_line:
+            self.l2.access(address + self.dcache.words_per_line)
         if self.l2.access(address):
             return self.dcache_latency + self.l2_latency
         return self.dcache_latency + self.l2_latency + self.memory_latency

@@ -41,10 +41,10 @@ consumed in windows of ``window_size`` rows and, per window:
 1. **Decode gather** — static per-pc tables (kind, latency, sources,
    destination) are gathered for the window's rows in one numpy
    indexing operation.
-2. **D-cache pre-pass** — when the static code is I-cache resident
-   (:func:`supports`), ``memory.data_latency`` is replayed over the
-   window's loads/stores in trace order and load latencies are
-   scattered into the window's latency vector.
+2. **L1 D pre-pass** — the private L1 D is replayed over the window's
+   loads/stores in trace order (``memory.data_l1_hit``).  Hit loads
+   get the L1 D latency in the window's latency vector; miss rows are
+   marked for the replay loop, which walks the shared L2 for them.
 3. **Branch pre-pass** — predictor outcomes and confidence queries for
    the window's conditional branches.  For the perceptron, per-branch
    histories are materialized as one sliding-window matrix over
@@ -61,22 +61,24 @@ consumed in windows of ``window_size`` rows and, per window:
    with the bias table, because the walker reads the bias table as of
    the (timing-dependent) episode entry row.
 
-**I-cache probes.**  After a warm pass over the static code, the I-cache
-is probed at the start of every fetch group.  Fetch-group starts depend
-on timing (ROB stalls, half-width dpred episodes), and I-misses share
-the unified L2 with data, so neither can move into a pre-pass.  When
-the code is resident every probe hits and changes nothing, so the loop
-skips them and keeps the D-cache pre-pass.  Otherwise the loop probes
-the I-cache at each new fetch group and walks the D-cache inline, in
-trace order, which keeps the L2 access sequence exact.
+**The L2 and the I-cache.**  After a warm pass over the static code,
+the I-cache is probed at the start of every fetch group.  Fetch-group
+starts depend on timing (ROB stalls, half-width dpred episodes), and
+I-misses share the unified L2 with data, so the I-cache probes and
+every L2 access (``memory.data_miss_latency`` for an L1 D miss) happen
+in the replay loop, in trace order.  A probe can only miss on a line
+whose set more program lines map to than it has ways
+(:func:`icache_conflicts`); any other probe hits and changes nothing,
+so the loop skips it.  The Table 1 I-cache holds every shipped
+workload, so for them the loop makes no probes.
 
 With ``profiler=None`` the replay loop carries no per-row stopwatch
 checks.  With a profiler, each batched kernel is charged to its
-component: window setup/gathers → fetch, D-cache pre-pass → dcache,
+component: window setup/gathers → fetch, L1 D pre-pass → dcache,
 branch/control pre-passes → branch_predict, replay loop (including
-inline probes) → dataflow, warm pass → icache, drain → rob_retire,
-episode construction/walks → dpred_episode/wrong_path.  The stopwatch
-partition sums exactly to the instrumented run.
+I-cache probes and L2 walks) → dataflow, warm pass → icache, drain →
+rob_retire, episode construction/walks → dpred_episode/wrong_path.
+The stopwatch partition sums exactly to the instrumented run.
 """
 
 import weakref
@@ -100,7 +102,6 @@ from repro.emulator.windows import trace_columns, window_bounds
 from repro.errors import SimulationError
 from repro.isa.registers import NUM_REGISTERS
 from repro.memory import MemoryHierarchy
-from repro.memory.hierarchy import INSTRUCTIONS_PER_LINE
 from repro.obs import events as obs_events
 from repro.obs.context import get_metrics, get_tracer
 from repro.uarch.config import ProcessorConfig
@@ -129,9 +130,9 @@ WRONG_PATH_INST_BUCKETS = (0, 5, 10, 25, 50, 100, 200)
 PVN_BUCKETS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0)
 
 #: Row classes in the static decode tables.  Memory rows collapse to
-#: ``_PLAIN`` in the replay-kind table used for resident programs
-#: (their latency is precomputed), so the replay loop only branches on
-#: control kinds; when it probes, memory rows keep their own kinds.
+#: ``_PLAIN`` in the replay-kind table (the L1 D pre-pass precomputes
+#: their latency), so the replay loop only branches on control kinds
+#: and on the L1 D misses the pre-pass gives their memory kind back.
 _PLAIN, _COND, _JMP, _CALL, _RET, _LOAD, _STORE = range(7)
 
 #: Default replay window (rows).  Large enough to amortize the numpy
@@ -152,27 +153,22 @@ _NULL_REG = NUM_REGISTERS + 1
 _DECODE_CACHE = weakref.WeakKeyDictionary()
 
 
-def supports(program, config):
-    """Does ``program`` stay I-cache resident under ``config``?
+def icache_conflicts(num_instructions, icache):
+    """Which pcs' I-cache lines can be evicted, as a list of bools.
 
-    Returns ``(ok, reason)``.  After the warm pass every probe of a
-    resident program hits, so the replay loop may skip the per-group
-    I-cache probes and move D-cache accesses into a trace-order
-    pre-pass; otherwise it probes and walks the D-cache inline (see
-    the module docstring).  Program pcs occupy contiguous lines
-    ``0 .. L-1``, so residency reduces to per-set occupancy
-    ``ceil(L / num_sets) <= associativity``.
+    Program pcs occupy contiguous lines ``0 .. L-1`` and only the
+    replay's probes touch the I-cache, so a line can only be evicted
+    from a set that more program lines map to than it has ways.  After
+    the warm pass every other line hits on every probe, and LRU order
+    in its set never matters, so the replay loop skips those probes.
     """
-    num_lines = (config.icache_kb * 1024) // 64
-    num_sets = max(1, num_lines // config.icache_assoc)
-    program_lines = -(-len(program.instructions) // INSTRUCTIONS_PER_LINE)
-    if -(-program_lines // num_sets) > config.icache_assoc:
-        return False, (
-            f"program ({len(program.instructions)} instructions, "
-            f"{program_lines} lines) exceeds I-cache residency "
-            f"({num_sets} sets x {config.icache_assoc} ways)"
-        )
-    return True, ""
+    per_line = icache.words_per_line
+    num_sets = icache.num_sets
+    program_lines = np.arange(-(-num_instructions // per_line))
+    lines_per_set = np.bincount(program_lines % num_sets,
+                                minlength=num_sets)
+    sets = np.arange(num_instructions) // per_line % num_sets
+    return (lines_per_set > icache.associativity)[sets].tolist()
 
 
 class _Episode:
@@ -323,9 +319,9 @@ class TimingSimulator:
             raise SimulationError(
                 f"window_size must be >= 1, got {self.window_size}"
             )
-        #: Whether the replay loop must probe the I-cache per fetch
-        #: group (and walk the D-cache inline) — see :func:`supports`.
-        self._probe_icache = not supports(program, cfg)[0]
+        self._icache_conflict = icache_conflicts(
+            len(program.instructions), self.memory.icache
+        )
         self._build_decode_tables()
 
     def _observe_loop_outcome(self, pc, continued):
@@ -650,8 +646,8 @@ class TimingSimulator:
         # millions of instructions) compulsory I-cache misses are
         # negligible, but at our reduced scale a cold pass over the
         # static code would cost more cycles than the whole benchmark.
-        # For a resident program every later probe hits, which is why
-        # the replay loop may skip them (see supports()).
+        # Afterwards only lines in over-full sets can miss, so the
+        # replay loop probes only those (see icache_conflicts()).
         warm_step = max(1, self.memory.icache.words_per_line)
         for pc in range(0, len(instructions), warm_step):
             self.memory.instruction_latency(pc)
@@ -669,18 +665,17 @@ class TimingSimulator:
         max_cond = cfg.max_cond_branches_per_cycle
         max_wrong_path = cfg.dpred_max_wrong_path_insts
         memory = self.memory
-        probe = self._probe_icache
+        icache_conflict = self._icache_conflict
         instruction_latency = memory.instruction_latency
-        data_latency = memory.data_latency
+        data_l1_hit = memory.data_l1_hit
+        data_miss_latency = memory.data_miss_latency
         icache_latency = cfg.icache_latency
+        dcache_latency = cfg.dcache_latency
         diverge_by_pc = self._diverge_by_pc
         dmp = diverge_by_pc is not None
         bias_counters = self.bias._counters
         kind_table = self._kind_table
-        # Probing keeps memory kinds so the loop can walk the D-cache
-        # inline, in trace order, between the I-cache probes.
-        replay_kind_table = kind_table if probe \
-            else self._replay_kind_table
+        replay_kind_table = self._replay_kind_table
         lat_table = self._lat_table
         src1_table = self._src1_table
         src2_table = self._src2_table
@@ -812,23 +807,28 @@ class TimingSimulator:
             if profiling:
                 charge(FETCH)
 
-            # D-cache pre-pass (trace-order pure access sequence), or
-            # the addresses the probing loop walks inline.
+            # L1 D pre-pass: the private L1 D sees the window's loads
+            # and stores in trace order.  A hit's latency is known now;
+            # a miss row keeps its memory kind, and the replay loop
+            # walks the shared L2 for it inline (see the module
+            # docstring).
             mem_rows = np.nonzero(kinds_w >= _LOAD)[0]
-            mem_addrs = addr_np[window_start:window_stop][mem_rows] \
-                .tolist()
-            mem_cursor = 0
-            if mem_rows.size and not probe:
-                load_mask = kinds_w[mem_rows] == _LOAD
-                load_list = load_mask.tolist()
-                load_lats = []
-                ap_lat = load_lats.append
-                for address, is_load in zip(mem_addrs, load_list):
-                    latency = data_latency(address)
-                    if is_load:
-                        ap_lat(latency)
-                if load_lats:
-                    lat_w[mem_rows[load_mask]] = load_lats
+            miss_addrs = ()
+            miss_cursor = 0
+            if mem_rows.size:
+                addrs_w = addr_np[window_start:window_stop]
+                hits = np.fromiter(
+                    map(data_l1_hit, addrs_w[mem_rows].tolist()),
+                    dtype=bool, count=mem_rows.size,
+                )
+                lat_w[mem_rows[kinds_w[mem_rows] == _LOAD]] = \
+                    dcache_latency
+                if not hits.all():
+                    miss_rows = mem_rows[~hits]
+                    for row, kind in zip(miss_rows.tolist(),
+                                         kinds_w[miss_rows].tolist()):
+                        kinds_l[row] = kind
+                    miss_addrs = addrs_w[miss_rows].tolist()
             lat_l = lat_w.tolist()
             if profiling:
                 charge(DCACHE)
@@ -930,7 +930,7 @@ class TimingSimulator:
                     cycle += 1
                     slots_used = 0
                     cond_used = 0
-                    if probe:
+                    if icache_conflict[pc]:
                         stall = instruction_latency(pc) - icache_latency
                         if profiling:
                             comp_events[ICACHE] += 1
@@ -962,14 +962,14 @@ class TimingSimulator:
                 rob_occ += 1
                 last_complete = complete
 
-                # ---- memory (probing only) and control flow --------
+                # ---- L1 D misses and control flow -------------------
                 if k:
                     if k >= _LOAD:
-                        # Walk the D-cache in trace order, after this
-                        # row's I-cache probe; a load completes after
-                        # the access's latency, not the decode one.
-                        latency = data_latency(mem_addrs[mem_cursor])
-                        mem_cursor += 1
+                        # Walk the L2 in trace order, after this row's
+                        # I-cache probe; a load completes after the
+                        # miss latency, not the L1 D one.
+                        latency = data_miss_latency(miss_addrs[miss_cursor])
+                        miss_cursor += 1
                         if k == _LOAD:
                             complete += latency - lat
                             reg_ready[dest] = complete

@@ -1,5 +1,7 @@
 """Cache and memory-hierarchy tests."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -104,6 +106,32 @@ class TestHierarchy:
         # data address 0 still misses L2 (code went to a distinct range)
         latency = mem.data_latency(0)
         assert latency >= mem.dcache_latency + mem.l2_latency
+
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_l1_pass_ahead_of_l2_walk_matches_data_latency(self, prefetch):
+        """Running the L1 D half over a batch before the L2 halves of
+        its misses gives the latencies and cache contents of
+        data_latency, with instruction fetches sharing the L2."""
+        rng = random.Random(7)
+        small = dict(dcache_kb=1, l2_kb=4, prefetch_next_line=prefetch)
+        whole, split = MemoryHierarchy(**small), MemoryHierarchy(**small)
+        for _ in range(40):
+            batch = [rng.randrange(4096) for _ in range(25)]
+            pcs = [rng.randrange(2048) for _ in batch]
+            expected = []
+            for pc, address in zip(pcs, batch):
+                whole.instruction_latency(pc)
+                expected.append(whole.data_latency(address))
+            hits = [split.data_l1_hit(address) for address in batch]
+            got = []
+            for pc, address, hit in zip(pcs, batch, hits):
+                split.instruction_latency(pc)
+                got.append(split.dcache_latency if hit
+                           else split.data_miss_latency(address))
+            assert got == expected
+        for level in ("icache", "dcache", "l2"):
+            a, b = getattr(whole, level), getattr(split, level)
+            assert (a.hits, a.misses, a._sets) == (b.hits, b.misses, b._sets)
 
     def test_reset(self):
         mem = MemoryHierarchy()

@@ -6,8 +6,8 @@ replay of :class:`~repro.uarch.TimingSimulator` produces *bit-identical*
 the tracer event stream — to the one-row-at-a-time replay frozen in
 :mod:`tests._reference_sim`, for every (program, config, annotation)
 triple at every window size.  That includes configs whose I-cache
-cannot hold the program, where the replay probes the I-cache per fetch
-group and walks the D-cache inline.
+cannot hold the program, where the replay probes the I-cache at
+fetch-group starts.
 """
 
 import json
@@ -20,11 +20,12 @@ from repro.core import SelectionConfig, select_diverge_branches
 from repro.emulator import execute
 from repro.errors import SimulationError
 from repro.isa import assemble
+from repro.memory import MemoryHierarchy
 from repro.obs.ledger import RuntimeLedger
 from repro.obs.tracer import ListSink, Tracer
 from repro.profiling import Profiler
 from repro.uarch import ProcessorConfig, TimingSimulator
-from repro.uarch.simulator import supports
+from repro.uarch.simulator import icache_conflicts
 from repro.workloads import load_benchmark
 from repro.workloads.generator import (
     BenchmarkSpec,
@@ -262,7 +263,18 @@ def _prepared(name):
 
 class TestNonResidentICache:
     """Configs whose I-cache cannot hold the program: the replay probes
-    the I-cache per fetch group and walks the D-cache inline."""
+    the I-cache at fetch-group starts on lines of over-full sets."""
+
+    def test_icache_conflicts_marks_overfull_sets(self):
+        """26 lines over 16 direct-mapped sets: lines 0-9 share a set
+        with lines 16-25, lines 10-15 have a set to themselves."""
+        icache = MemoryHierarchy(icache_kb=1, icache_assoc=1).icache
+        per_line = icache.words_per_line
+        conflict = icache_conflicts(26 * per_line, icache)
+        assert conflict[::per_line] == [True] * 10 + [False] * 6 \
+            + [True] * 10
+        assert conflict == [c for c in conflict[::per_line]
+                            for _ in range(per_line)]
 
     @pytest.mark.parametrize("name", sorted(BENCHMARK_SPECS))
     def test_workload(self, name):
@@ -308,21 +320,30 @@ class TestNonResidentICache:
 
 
 class TestEngineSelection:
-    """There is one simulator; ``supports()`` only picks, per run,
-    whether the replay loop probes the I-cache."""
+    """There is one simulator and one replay loop, whatever the
+    configuration."""
 
     def test_auto_picks_vectorized_when_supported(self):
-        """A resident program keeps the D-cache pre-pass."""
+        """On the Table 1 machine the code is I-cache resident: after
+        the warm pass every fetch-group probe hits."""
         workload = load_benchmark("gzip", scale=0.05)
-        assert not TimingSimulator(workload.program)._probe_icache
+        trace, _ = execute(workload.program, memory=workload.memory,
+                           max_instructions=workload.max_instructions,
+                           compact=True)
+        stats = TimingSimulator(workload.program).run(trace)
+        assert stats.icache_misses == 0
 
     def test_auto_falls_back_on_unsupported_program(self):
-        """A tiny I-cache breaks residency → the loop probes."""
+        """A tiny I-cache misses on fetch-group probes, and the same
+        replay loop still matches the oracle."""
         workload = load_benchmark("gzip", scale=0.05)
-        ok, reason = supports(workload.program, NON_RESIDENT)
-        assert not ok and "residency" in reason
-        assert TimingSimulator(workload.program,
-                               config=NON_RESIDENT)._probe_icache
+        trace, _ = execute(workload.program, memory=workload.memory,
+                           max_instructions=workload.max_instructions,
+                           compact=True)
+        reference, got = _run_pair(workload.program, trace, None,
+                                   config=NON_RESIDENT)
+        assert reference == got
+        assert got[0]["icache_misses"] > 0
 
     def test_config_validate_rejects_unknown_engine(self):
         """The old engine field is unknown to the config."""
