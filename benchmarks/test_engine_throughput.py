@@ -12,6 +12,8 @@ is tracked across PRs.
 import json
 import os
 import pathlib
+import statistics
+import time
 
 import pytest
 
@@ -28,6 +30,9 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: Small fixed cell grid so suite timings are comparable across runs.
 SUITE_BENCHMARKS = ["gzip", "twolf", "crafty"]
 SUITE_SCALE = 0.2
+
+#: Interleaved oracle/replay rounds behind the >= 5x speedup assert.
+SPEEDUP_ROUNDS = 21
 
 _RESULTS = {}
 
@@ -146,14 +151,44 @@ def test_simulator_reference(benchmark, workload):
     )
 
 
+def _interleaved_speedup(program, trace, rounds=SPEEDUP_ROUNDS):
+    """The batch replay's speedup over the scalar oracle.
+
+    Each round runs the oracle twice, then the batch replay twice, on
+    the same trace, and times the second run of each (simulator
+    construction included): the first warms the CPU caches for that
+    engine, as the consecutive rounds of a ``benchmark.pedantic`` run
+    do.  The speedup is the median of the per-round ratios.  Pairing
+    adjacent runs cancels slow phases of a shared machine, and the
+    median over many rounds keeps one outlier from deciding the
+    result.  Returns ``(speedup, oracle median s, replay median s)``.
+    """
+
+    def timed(cls):
+        cls(program).run(trace)
+        start = time.perf_counter()
+        cls(program).run(trace)
+        return time.perf_counter() - start
+
+    ratios, oracle, replay = [], [], []
+    for _ in range(rounds):
+        oracle.append(timed(ReferenceSimulator))
+        replay.append(timed(TimingSimulator))
+        ratios.append(oracle[-1] / replay[-1])
+    return (statistics.median(ratios), statistics.median(oracle),
+            statistics.median(replay))
+
+
 def test_simulator_vectorized(benchmark, workload):
     """The simulator's batch replay on the same trace.
 
     Emits ``sim_vectorized.insts_per_sec`` (trajectory-gated as
-    ``engine.sim_vectorized.insts_per_sec``) and asserts the speedup
-    over the scalar oracle stays at or above 5x — the batch replay's
-    contract, per-round construction included.  Runs after the oracle
-    benchmark so ``reference_insts_per_s`` is already recorded.
+    ``engine.sim_vectorized.insts_per_sec``; best of 3 rounds) and
+    asserts the speedup over the scalar oracle stays at or above 5x —
+    the batch replay's contract, per-round construction included.
+    The speedup comes from :func:`_interleaved_speedup`, not from the
+    two benchmarks' best rounds: a 3-round minimum of ~13 ms runs is
+    too noisy on a shared machine to hold a 5x bound.
     """
     trace, _ = _single_pass(workload)
     reference_stats = ReferenceSimulator(workload.program).run(trace)
@@ -164,18 +199,22 @@ def test_simulator_vectorized(benchmark, workload):
     )
     assert stats.as_dict() == reference_stats.as_dict()
     _record("simulator_vectorized", benchmark)
-    insts_per_sec = (
+    _TOP["sim_vectorized.insts_per_sec"] = (
         stats.retired_instructions / benchmark.stats.stats.min
     )
-    _TOP["sim_vectorized.insts_per_sec"] = insts_per_sec
-    reference_insts_per_s = _TOP.get("reference_insts_per_s")
-    if reference_insts_per_s:
-        speedup = insts_per_sec / reference_insts_per_s
-        _TOP["sim_vectorized_speedup"] = speedup
-        assert speedup >= 5.0, (
-            f"batch replay must be >= 5x the scalar oracle, got "
-            f"{speedup:.2f}x"
-        )
+    speedup, oracle_s, replay_s = _interleaved_speedup(
+        workload.program, trace
+    )
+    _TOP["sim_vectorized_speedup"] = speedup
+    _TOP["sim_speedup_rounds"] = {
+        "rounds": SPEEDUP_ROUNDS,
+        "oracle_median_s": oracle_s,
+        "replay_median_s": replay_s,
+    }
+    assert speedup >= 5.0, (
+        f"batch replay must be >= 5x the scalar oracle, got "
+        f"{speedup:.2f}x (median of {SPEEDUP_ROUNDS} interleaved rounds)"
+    )
 
 
 def _suite(jobs):

@@ -14,6 +14,7 @@ format: :meth:`Trace.to_bytes` / :meth:`Trace.from_bytes` round-trip
 the raw column buffers with no per-entry encoding work.
 """
 
+import hashlib
 from array import array
 
 #: Column sentinel for "no effective address" (loads/stores always
@@ -47,12 +48,13 @@ class TraceView:
 class Trace:
     """Parallel-array dynamic trace: pc / next_pc / address columns."""
 
-    __slots__ = ("pcs", "next_pcs", "addresses")
+    __slots__ = ("pcs", "next_pcs", "addresses", "_digest")
 
     def __init__(self):
         self.pcs = array("q")
         self.next_pcs = array("q")
         self.addresses = array("q")
+        self._digest = None
 
     # -- recording (the emulator's hot path) ---------------------------
 
@@ -94,6 +96,19 @@ class Trace:
                 pc, next_pc, None if address == NO_ADDRESS else address
             )
 
+    def digest(self):
+        """128-bit BLAKE2b digest of the three columns (hex).
+
+        Computed once per object; an append since the last call
+        changes the length, which recomputes it.
+        """
+        n = len(self.pcs)
+        if self._digest is None or self._digest[0] != n:
+            self._digest = (n, column_digest(
+                (self.pcs, self.next_pcs, self.addresses)
+            ))
+        return self._digest[1]
+
     @property
     def nbytes(self):
         """Memory held by the column buffers."""
@@ -122,6 +137,14 @@ class Trace:
         if not len(trace.pcs) == len(trace.next_pcs) == len(trace.addresses):
             raise ValueError("trace column lengths disagree")
         return trace
+
+
+def column_digest(columns):
+    """128-bit BLAKE2b digest (hex) of equal-length int64 columns."""
+    digest = hashlib.blake2b(digest_size=16)
+    for column in columns:
+        digest.update(column)
+    return digest.hexdigest()
 
 
 def trace_rows(trace):

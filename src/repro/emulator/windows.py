@@ -10,7 +10,12 @@ per-instruction records) are converted with one python pass.
 
 import numpy as np
 
-from repro.emulator.trace import NO_ADDRESS, Trace, trace_rows
+from repro.emulator.trace import (
+    NO_ADDRESS,
+    Trace,
+    column_digest,
+    trace_rows,
+)
 
 
 def trace_columns(trace):
@@ -37,6 +42,17 @@ def trace_columns(trace):
         next_pcs[i] = next_pc
         addresses[i] = NO_ADDRESS if address is None else address
     return pcs, next_pcs, addresses
+
+
+def trace_digest(trace):
+    """A content digest of ``trace``'s columns (hex).
+
+    Cached on a compact :class:`Trace`; any other trace shape is
+    converted and hashed on every call.
+    """
+    if isinstance(trace, Trace):
+        return trace.digest()
+    return column_digest(trace_columns(trace))
 
 
 def taken_flags(pcs, next_pcs):

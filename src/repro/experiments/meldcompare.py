@@ -39,6 +39,7 @@ from repro.experiments.runner import (
     mean_speedup,
     run_baseline,
     run_selection,
+    sim_memo,
 )
 from repro.obs.ledger import SelectionLedger
 from repro.uarch import TimingSimulator
@@ -225,7 +226,7 @@ def _bench_cell(name, scale):
     meld_state, meld_program, meld_trace = melded_run(
         name, resolve("meld"), scale=scale
     )
-    meld_stats = TimingSimulator(meld_program).run(
+    meld_stats = TimingSimulator(meld_program, memo=sim_memo).run(
         meld_trace, label=f"{name}/static-meld"
     )
 
@@ -235,7 +236,7 @@ def _bench_cell(name, scale):
         ledger=comb_ledger,
     )
     comb_stats = TimingSimulator(
-        comb_program, annotation=comb_state.annotation
+        comb_program, annotation=comb_state.annotation, memo=sim_memo,
     ).run(comb_trace, label=f"{name}/meld+dpred")
 
     return {
@@ -363,7 +364,8 @@ def meld_cell(params):
         ledger=selection_ledger,
     )
     stats = TimingSimulator(
-        program, annotation=state.annotation, ledger=runtime_ledger
+        program, annotation=state.annotation, ledger=runtime_ledger,
+        memo=sim_memo,
     ).run(trace, label=f"{benchmark}/{selection.name}")
     melded = state.transform.melded if state.transform else ()
     return {

@@ -103,15 +103,22 @@ class KeyedCache:
 #: recycle the oldest entries instead of accumulating them.
 _artifact_cache = KeyedCache("artifacts", max_entries=64)
 _baseline_cache = KeyedCache("baseline", max_entries=128)
+#: Simulation results by content (:meth:`TimingSimulator.memo_key`
+#: -> stats and the run's metrics), so each distinct (program, config,
+#: marks, trace) replays once per process.  A cold ``all`` makes ~300
+#: distinct simulations; an entry is a few kilobytes.
+sim_memo = KeyedCache("simresults", max_entries=1024)
 
 
 def clear_cache():
-    """Drop all cached traces/profiles/baselines/analyses (frees memory)."""
+    """Drop all cached traces/profiles/baselines/simulation results
+    and analyses (frees memory)."""
     from repro.compiler.analysis_manager import reset_shared_manager
     from repro.experiments import meldcompare
 
     _artifact_cache.clear()
     _baseline_cache.clear()
+    sim_memo.clear()
     meldcompare.clear_meld_caches()
     reset_shared_manager()
 
@@ -184,7 +191,11 @@ def run_baseline(name, input_set="reduced", scale=1.0, config=None):
     if cached is not None:
         return cached
     artifacts = get_artifacts(name, input_set, scale)
-    simulator = TimingSimulator(artifacts.program, config=config)
+    # Through the result memo too: an annotated run that selected no
+    # branches is the same simulation.
+    simulator = TimingSimulator(
+        artifacts.program, config=config, memo=sim_memo
+    )
     with phase("simulate") as ph:
         stats = simulator.run(artifacts.trace, label=f"{name}/baseline")
         ph.events = stats.retired_instructions
@@ -205,7 +216,7 @@ def run_annotated(name, annotation, input_set="reduced", scale=1.0,
     artifacts = get_artifacts(name, input_set, scale)
     simulator = TimingSimulator(
         artifacts.program, config=config, annotation=annotation,
-        ledger=ledger, profiler=profiler,
+        ledger=ledger, profiler=profiler, memo=sim_memo,
     )
     with phase("simulate") as ph:
         stats = simulator.run(

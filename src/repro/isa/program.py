@@ -154,15 +154,20 @@ class Program:
     def fingerprint(self):
         """Stable content key for this program (name + disassembly).
 
-        Used by ``repro.compiler.AnalysisManager`` to share cached
-        :class:`~repro.core.analysis.ProgramAnalysis` products across
-        selection configs operating on the same program.
+        A 128-bit BLAKE2b digest, computed once per object.  It keys
+        in-memory caches only — ``repro.compiler.AnalysisManager``'s
+        shared :class:`~repro.core.analysis.ProgramAnalysis` products,
+        meldcompare's melded traces and the timing simulator's result
+        memo — where a collision would silently serve another
+        program's entry, so it is wide enough never to collide.
         """
         if self._fingerprint is None:
-            import zlib
+            import hashlib
 
             text = f"{self.name}\n{self.disassemble()}"
-            self._fingerprint = f"{zlib.crc32(text.encode('utf-8')):08x}"
+            self._fingerprint = hashlib.blake2b(
+                text.encode("utf-8"), digest_size=16
+            ).hexdigest()
         return self._fingerprint
 
     # -- printing ----------------------------------------------------------

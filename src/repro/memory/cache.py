@@ -27,8 +27,11 @@ class Cache:
         self.words_per_line = words_per_line
         self.hits = 0
         self.misses = 0
-        # One OrderedDict per set: line_tag -> None, LRU order = insertion.
-        self._sets = [OrderedDict() for _ in range(num_sets)]
+        # set_index -> OrderedDict (line_tag -> None, LRU order =
+        # insertion), made on a set's first miss: most sets of a large
+        # cache are never touched by a short run, and building them all
+        # up front cost more than some whole runs.
+        self._sets = {}
 
     @classmethod
     def from_kilobytes(cls, name, kilobytes, associativity,
@@ -46,8 +49,10 @@ class Cache:
     def access(self, address):
         """Access ``address``; returns True on hit.  Misses allocate."""
         set_index, tag = self._locate(address)
-        cache_set = self._sets[set_index]
-        if tag in cache_set:
+        cache_set = self._sets.get(set_index)
+        if cache_set is None:
+            cache_set = self._sets[set_index] = OrderedDict()
+        elif tag in cache_set:
             cache_set.move_to_end(tag)
             self.hits += 1
             return True
@@ -60,7 +65,7 @@ class Cache:
     def contains(self, address):
         """Non-mutating presence probe (no stat or LRU change)."""
         set_index, tag = self._locate(address)
-        return tag in self._sets[set_index]
+        return tag in self._sets.get(set_index, ())
 
     @property
     def accesses(self):
@@ -75,4 +80,4 @@ class Cache:
     def reset(self):
         self.hits = 0
         self.misses = 0
-        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        self._sets = {}

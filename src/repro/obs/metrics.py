@@ -270,6 +270,28 @@ class MetricsRegistry:
                     )
         return self
 
+    def merge(self, other):
+        """Fold registry ``other`` into this one.
+
+        :meth:`merge_snapshot` of ``other``'s snapshot, which carries
+        no help texts; an instrument left without one here takes
+        ``other``'s.  Returns ``self`` for chaining.
+        """
+        with other._lock:
+            snapshot = other.as_dict()
+            helps = {
+                name: instrument.help
+                for name, instrument in other._instruments.items()
+                if instrument.help
+            }
+        with self._lock:
+            self.merge_snapshot(snapshot)
+            for name, text in helps.items():
+                instrument = self._instruments[name]
+                if not instrument.help:
+                    instrument.help = text
+        return self
+
     def write_json(self, path):
         """Dump :meth:`as_dict` to ``path``; returns the path."""
         ensure_parent(path)

@@ -57,7 +57,7 @@ class ProfileData:
         """
         key = getattr(self, "_cache_key", None)
         if key is None:
-            import zlib
+            import hashlib
 
             text = repr((
                 self.total_instructions,
@@ -69,7 +69,9 @@ class ProfileData:
                 self.branch_profile.signature(),
                 self.loop_profile.signature(),
             ))
-            key = f"{zlib.crc32(text.encode('utf-8')):08x}"
+            key = hashlib.blake2b(
+                text.encode("utf-8"), digest_size=16
+            ).hexdigest()
             self._cache_key = key
         return key
 

@@ -82,6 +82,7 @@ The stopwatch partition sums exactly to the instrumented run.
 """
 
 import weakref
+from dataclasses import astuple
 
 import numpy as np
 
@@ -98,12 +99,17 @@ from repro.branchpred.perceptron import (
     PerceptronPredictor,
 )
 from repro.core.marks import DivergeKind
-from repro.emulator.windows import trace_columns, window_bounds
+from repro.emulator.windows import (
+    trace_columns,
+    trace_digest,
+    window_bounds,
+)
 from repro.errors import SimulationError
 from repro.isa.registers import NUM_REGISTERS
 from repro.memory import MemoryHierarchy
 from repro.obs import events as obs_events
 from repro.obs.context import get_metrics, get_tracer
+from repro.obs.metrics import MetricsRegistry
 from repro.uarch.config import ProcessorConfig
 from repro.uarch.profiler import (
     BRANCH_PRED,
@@ -243,6 +249,17 @@ class TimingSimulator:
         the instrumented run time exactly) plus deterministic event
         counts, folded in once per run via
         :meth:`~repro.uarch.profiler.SimProfiler.record_run`.
+    memo:
+        A result memo with ``get(key)``/``put(key, value)`` (the
+        experiment runner's bounded ``KeyedCache``), or ``None`` (the
+        default — every run replays; same opt-in pattern as the
+        ledger).  :meth:`run` first looks its inputs up by content
+        (:meth:`memo_key`); a hit returns a copy of the stored stats
+        and folds the stored run's metric contribution into
+        ``metrics``, so a repeated simulation costs one lookup.  A
+        traced run, a ledger or a profiler bypasses the memo: their
+        event streams and rows cannot be replayed.  A simulator with a
+        memo runs once (a hit leaves its machine state cold).
     window_size:
         Replay window in trace rows (default :data:`DEFAULT_WINDOW`).
         It changes only how the pre-passes batch the trace, never the
@@ -251,7 +268,7 @@ class TimingSimulator:
 
     def __init__(self, program, config=None, annotation=None,
                  collect_per_branch=False, tracer=None, metrics=None,
-                 ledger=None, profiler=None, window_size=None):
+                 ledger=None, profiler=None, memo=None, window_size=None):
         self.program = program
         self.config = (config or ProcessorConfig()).validate()
         self.annotation = annotation
@@ -259,14 +276,12 @@ class TimingSimulator:
         self.metrics = metrics if metrics is not None else get_metrics()
         self.ledger = ledger
         self.profiler = profiler
-        self._hist_episode_cycles = self.metrics.histogram(
-            "dpred_episode_cycles", EPISODE_CYCLE_BUCKETS,
-            help="dpred episode length in cycles",
-        )
-        self._hist_wrong_path = self.metrics.histogram(
-            "dpred_wrong_path_insts_per_episode", WRONG_PATH_INST_BUCKETS,
-            help="wrong-path instructions fetched per dpred episode",
-        )
+        self.memo = memo
+        self._ran = False
+        # Rebound per run by _replay; the frozen test oracle's replay
+        # loop records into these (and _record_run_metrics' default)
+        # directly.
+        self._bind_histograms(self.metrics)
         #: When True, SimStats.per_branch records executions,
         #: mispredictions, episodes, avoided and taken flushes per pc
         #: (used by the coverage report; small runtime overhead).
@@ -595,10 +610,59 @@ class TimingSimulator:
     # Batch replay
     # ------------------------------------------------------------------
 
+    def memo_key(self, trace):
+        """The content key of running ``trace`` on this simulator.
+
+        Exact content, never object identity: the program's digest,
+        the config's fields, the diverge marks (``None`` and an empty
+        annotation simulate alike), ``collect_per_branch`` and the
+        trace columns' digest.  The digests are computed once per
+        program and per compact trace.
+        """
+        return (
+            self.program.fingerprint,
+            astuple(self.config),
+            tuple(self.annotation or ()),
+            self.collect_per_branch,
+            trace_digest(trace),
+        )
+
     def run(self, trace, label=""):
-        """Simulate ``trace`` and return :class:`SimStats`."""
+        """Simulate ``trace`` and return :class:`SimStats`.
+
+        The run's metrics are recorded into a run-local registry that
+        is then folded into ``metrics``; with a memo, that registry is
+        stored with the stats and folded in again on every hit.
+        """
         if not trace:
             raise SimulationError("empty trace")
+        memo = self.memo
+        if memo is not None:
+            if self._ran:
+                raise SimulationError(
+                    "a simulator with a result memo runs once"
+                )
+            if (self.tracer.enabled or self.ledger is not None
+                    or self.profiler is not None):
+                memo = None
+        self._ran = True
+        if memo is not None:
+            key = self.memo_key(trace)
+            hit = memo.get(key)
+            if hit is not None:
+                stats, run_metrics = hit
+                self.metrics.merge(run_metrics)
+                return stats.copy(label)
+        run_metrics = MetricsRegistry()
+        stats = self._replay(trace, label, run_metrics)
+        if memo is not None:
+            memo.put(key, (stats.copy(), run_metrics))
+        return stats
+
+    def _replay(self, trace, label, run_metrics):
+        """The batch replay: simulate ``trace``, recording the run's
+        metrics into ``run_metrics``."""
+        self._bind_histograms(run_metrics)
         cfg = self.config
         stats = SimStats(label=label)
         instructions = self.program.instructions
@@ -1249,7 +1313,8 @@ class TimingSimulator:
             }
         if ledger is not None:
             ledger.record_run(label, per_branch, stats)
-        self._record_run_metrics(stats)
+        self._record_run_metrics(stats, run_metrics)
+        self.metrics.merge(run_metrics)
         if traced:
             tracer.emit(obs_events.SimRunEnd(
                 label=label,
@@ -1270,9 +1335,22 @@ class TimingSimulator:
                                 metrics=self.metrics)
         return stats
 
-    def _record_run_metrics(self, stats):
-        """Fold one run's totals into the metrics registry."""
-        metrics = self.metrics
+    def _bind_histograms(self, metrics):
+        """Point the per-episode histograms at registry ``metrics``."""
+        self._hist_episode_cycles = metrics.histogram(
+            "dpred_episode_cycles", EPISODE_CYCLE_BUCKETS,
+            help="dpred episode length in cycles",
+        )
+        self._hist_wrong_path = metrics.histogram(
+            "dpred_wrong_path_insts_per_episode", WRONG_PATH_INST_BUCKETS,
+            help="wrong-path instructions fetched per dpred episode",
+        )
+
+    def _record_run_metrics(self, stats, metrics=None):
+        """Record one run's totals into ``metrics`` (default: the
+        simulator's registry)."""
+        if metrics is None:
+            metrics = self.metrics
         for name, value in (
             ("sim_runs_total", 1),
             ("sim_instructions_total", stats.retired_instructions),

@@ -1,6 +1,6 @@
 """Simulation statistics."""
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 #: Derived read-only properties included in :meth:`SimStats.as_dict`.
 _DERIVED = (
@@ -103,6 +103,18 @@ class SimStats:
                 for pc, counters in self.per_branch.items()
             }
         return snapshot
+
+    def copy(self, label=None):
+        """An independent copy (``per_branch`` included), relabeled to
+        ``label`` when one is given."""
+        return replace(
+            self,
+            label=self.label if label is None else label,
+            per_branch={
+                pc: dict(counters)
+                for pc, counters in self.per_branch.items()
+            },
+        )
 
     def merge(self, other, label=None):
         """A new :class:`SimStats` with the counters of both runs summed.

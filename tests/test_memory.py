@@ -49,6 +49,16 @@ class TestCache:
         assert not cache.contains(3)
         assert cache.misses == 0
 
+    def test_sets_are_made_on_first_miss(self):
+        cache = Cache.from_kilobytes("l2", 1024, 8)
+        assert cache._sets == {}
+        assert not cache.contains(0)
+        assert cache._sets == {}
+        cache.access(0)
+        cache.access(cache.num_sets * cache.words_per_line)
+        assert list(cache._sets) == [0]
+        assert cache.contains(0)
+
     def test_stats(self):
         cache = Cache("t", num_sets=4, associativity=2)
         cache.access(0)
