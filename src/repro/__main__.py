@@ -78,7 +78,7 @@ from repro.experiments import (
 from repro.obs import (
     MetricsRegistry,
     NULL_TRACER,
-    PhaseProfile,
+    SpanTree,
     activate,
     build_manifest,
     format_trace_report,
@@ -234,7 +234,7 @@ def main(argv=None):
         "--manifest",
         metavar="OUT.json",
         default=None,
-        help="write a run manifest (config, git rev, phase timings, "
+        help="write a run manifest (config, git rev, stage timings, "
              f"metrics); 'all' defaults to {DEFAULT_ALL_MANIFEST}",
     )
     args = parser.parse_args(argv)
@@ -276,7 +276,7 @@ def main(argv=None):
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
     registry = MetricsRegistry()
-    phases = PhaseProfile()
+    spans = SpanTree()
     tracer = jsonl_tracer(args.trace) if args.trace else NULL_TRACER
     telemetry_requested = bool(
         args.trace or args.metrics or args.manifest
@@ -293,8 +293,7 @@ def main(argv=None):
     try:
         with ExitStack() as stack:
             stack.enter_context(
-                telemetry(tracer=tracer, metrics=registry,
-                          phases=phases))
+                telemetry(tracer=tracer, metrics=registry, spans=spans))
             stack.enter_context(activate(ctx))
             if ctx is not None:
                 stack.enter_context(span(f"repro.{args.artifact}"))
@@ -336,7 +335,7 @@ def main(argv=None):
             },
             benchmarks=benchmarks,
             scale=args.scale,
-            phases=phases,
+            phases=spans.by_name(),
             metrics=registry,
         )
         write_manifest(manifest_path, manifest)
@@ -344,7 +343,7 @@ def main(argv=None):
 
     if telemetry_requested or args.artifact == "all":
         print()
-        print(phases.report())
+        print(spans.report())
     return 0
 
 

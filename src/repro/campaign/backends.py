@@ -48,7 +48,7 @@ from multiprocessing.connection import wait as connection_wait
 
 from repro.campaign.journal import JOURNAL_NAME
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timers import PhaseProfile
+from repro.obs.spans import SpanTree, span
 
 #: Registered backend names (see :func:`make_backend`).
 BACKENDS = ("local", "sharded")
@@ -89,7 +89,6 @@ def cell_worker(conn, fn, params, trace=None):
 
     from repro.obs import tracectx
     from repro.obs.context import telemetry
-    from repro.obs.spans import span
 
     # Forked workers inherit the CLI's graceful-exit SIGTERM handler;
     # restore the default so a post-collect terminate() kills the
@@ -99,9 +98,9 @@ def cell_worker(conn, fn, params, trace=None):
         trace, service="campaign-worker"
     )
     registry = MetricsRegistry()
-    phases = PhaseProfile()
+    spans = SpanTree()
     try:
-        with telemetry(metrics=registry, phases=phases):
+        with telemetry(metrics=registry, spans=spans):
             if ctx is not None:
                 with tracectx.activate(ctx):
                     with span("cell"):
@@ -112,8 +111,7 @@ def cell_worker(conn, fn, params, trace=None):
             "ok": True,
             "result": result,
             "metrics": registry.as_dict(),
-            "phases": phases.as_dict(),
-            "spans": phases.spans_as_dict(),
+            "spans": spans.as_dict(),
             "resources": cell_usage(),
         }
     except BaseException as exc:  # noqa: BLE001 — must reach the parent

@@ -18,7 +18,7 @@ repro all`` share one set of workers; a library call made outside any
 session gets a session of its own that is closed when the call
 returns.  Each worker job runs under a *fresh* telemetry bundle
 (:class:`~repro.obs.metrics.MetricsRegistry` +
-:class:`~repro.obs.timers.PhaseProfile`); the snapshots travel back
+:class:`~repro.obs.spans.SpanTree`); the snapshots travel back
 with the result and are folded into the parent's active bundle in plan
 order, so ``--metrics`` output and run manifests account for work done
 in workers exactly as if it had run inline.
@@ -51,10 +51,9 @@ from contextlib import contextmanager
 from multiprocessing.connection import wait
 
 from repro.obs import tracectx
-from repro.obs.context import get_metrics, get_phases, telemetry
+from repro.obs.context import get_metrics, get_spans, telemetry
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import span
-from repro.obs.timers import PhaseProfile
+from repro.obs.spans import SpanTree, span
 
 #: Seconds a closing session waits for a worker to exit on its own
 #: before terminating it.
@@ -118,11 +117,8 @@ def resolve_jobs(jobs):
 def _run_job(fn, args, trace=None, label=None):
     """Worker-side wrapper: isolate telemetry and ship snapshots back.
 
-    The full hierarchical span snapshot travels back (not the flat
-    phase view): merging it into the parent's span tree carries nested
-    spans across the process boundary, and the parent's
-    :class:`PhaseProfile` — a depth-1 view over that tree — follows
-    automatically without double counting.
+    The job's span-tree snapshot travels back and merges into the
+    parent's tree, so nested spans cross the process boundary.
 
     ``trace`` is an optional distributed-trace propagation payload
     (:meth:`~repro.obs.tracectx.TraceContext.propagation`): when
@@ -131,15 +127,15 @@ def _run_job(fn, args, trace=None, label=None):
     active in the parent when the plan was submitted.
     """
     registry = MetricsRegistry()
-    phases = PhaseProfile()
+    spans = SpanTree()
     ctx = tracectx.TraceContext.from_propagation(
         trace, service="exec-worker"
     )
-    with telemetry(metrics=registry, phases=phases):
+    with telemetry(metrics=registry, spans=spans):
         with tracectx.activate(ctx):
             with span("cell", attrs={"job": label} if label else None):
                 result = fn(*args)
-    return result, registry.as_dict(), phases.spans_as_dict()
+    return result, registry.as_dict(), spans.as_dict()
 
 
 class _RemoteTraceback(Exception):
@@ -388,12 +384,12 @@ def execute(jobs_list, jobs=None):
     under the caller's telemetry; otherwise the jobs run on the active
     :func:`session` pool — or on a pool opened for this call alone —
     and worker telemetry snapshots are merged into the active
-    registry/profile, also in plan order.
+    registry/span tree, also in plan order.
 
     A failing job raises in the parent either way; on the pool path it
     is wrapped in :class:`JobError` with the failing job's label, no
     job not yet started is dispatched, and *no* worker telemetry is
-    merged — snapshots are folded into the parent's registry/profile
+    merged — snapshots are folded into the parent's registry/span tree
     only once every job has succeeded, so ``--metrics`` output never
     reports a half-gathered plan.
     """
@@ -415,7 +411,7 @@ def execute(jobs_list, jobs=None):
         return results
 
     metrics = get_metrics()
-    phases = get_phases()
+    spans = get_spans()
     ctx = tracectx.current()
     trace = ctx.propagation() if ctx is not None else None
     if active is not None:
@@ -429,7 +425,7 @@ def execute(jobs_list, jobs=None):
     results = []
     for result, metrics_snapshot, spans_snapshot in payloads:
         metrics.merge_snapshot(metrics_snapshot)
-        phases.merge_spans(spans_snapshot)
+        spans.merge_snapshot(spans_snapshot)
         results.append(result)
     return results
 

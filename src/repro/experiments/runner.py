@@ -11,12 +11,13 @@ All hit/miss counters land in the metrics registry, so cache
 effectiveness is visible in ``--metrics`` output instead of silently
 growing memory.
 
-Every stage runs under a phase timer (:func:`repro.obs.phase`):
-``trace`` (the fused functional execution + profiling pass),
-``profile`` (sealing the collected profiles), ``select``
-(diverge-branch selection), and ``simulate`` (timing model), each
-reporting wall-clock seconds and events/sec through the active
-telemetry context.
+Every stage runs in a timed span (:func:`repro.obs.span`): ``trace``
+(the fused functional execution + profiling pass), ``profile``
+(sealing the collected profiles), ``select`` (diverge-branch
+selection, with one ``compile.<pass>`` span per pass), and
+``simulate`` (timing model).  Each nests under the span that encloses
+it, usually the engine's ``cell``, and records wall-clock seconds and
+an event count in the active telemetry context's span tree.
 """
 
 import math
@@ -27,7 +28,7 @@ from repro.core import DivergeSelector
 from repro.emulator import execute
 from repro.exec import artifact_cache
 from repro.obs.context import get_metrics
-from repro.obs.timers import phase
+from repro.obs.spans import span
 from repro.profiling import Profiler
 from repro.uarch import TimingSimulator
 from repro.workloads import BENCHMARK_NAMES, load_benchmark
@@ -148,7 +149,7 @@ def get_artifacts(name, input_set="reduced", scale=1.0):
         _artifact_cache.put(key, artifacts)
         return artifacts
     collector = profiler.collector()
-    with phase("trace") as ph:
+    with span("trace") as ph:
         trace, result = execute(
             workload.program,
             memory=workload.memory,
@@ -161,7 +162,7 @@ def get_artifacts(name, input_set="reduced", scale=1.0):
         raise RuntimeError(
             f"benchmark {name!r} did not halt within its budget"
         )
-    with phase("profile") as ph:
+    with span("profile") as ph:
         profile = collector.finish(result)
         ph.events = result.instruction_count
     artifact_cache.store(disk_key, trace, profile)
@@ -196,7 +197,7 @@ def run_baseline(name, input_set="reduced", scale=1.0, config=None):
     simulator = TimingSimulator(
         artifacts.program, config=config, memo=sim_memo
     )
-    with phase("simulate") as ph:
+    with span("simulate") as ph:
         stats = simulator.run(artifacts.trace, label=f"{name}/baseline")
         ph.events = stats.retired_instructions
     _baseline_cache.put(key, stats)
@@ -218,7 +219,7 @@ def run_annotated(name, annotation, input_set="reduced", scale=1.0,
         artifacts.program, config=config, annotation=annotation,
         ledger=ledger, profiler=profiler, memo=sim_memo,
     )
-    with phase("simulate") as ph:
+    with span("simulate") as ph:
         stats = simulator.run(
             artifacts.trace, label=label or f"{name}/dmp"
         )
@@ -253,7 +254,7 @@ def run_selection(name, selection_config, input_set="reduced",
         run_artifacts.program, profile_artifacts.profile,
         selection_config, ledger=selection_ledger,
     )
-    with phase("select") as ph:
+    with span("select") as ph:
         annotation = selector.select()
         ph.events = len(annotation)
     stats = run_annotated(

@@ -1,22 +1,25 @@
-"""Observability: metrics, structured tracing, phase profiling, manifests.
+"""Observability: metrics, structured tracing, timed spans, manifests.
 
-The package has five pieces:
+The package has these pieces:
 
 - :mod:`repro.obs.metrics` — always-on counters/gauges/histograms in a
   :class:`MetricsRegistry`;
 - :mod:`repro.obs.events` + :mod:`repro.obs.tracer` — typed trace
   events written as JSONL through a pluggable sink (default: the
   no-op :data:`NULL_TRACER`, one attribute check in the hot loop);
-- :mod:`repro.obs.timers` — phase timers for the harness pipeline
-  (trace → profile → select → simulate) with events/sec throughput;
+- :mod:`repro.obs.spans` — nestable timed spans around the harness
+  pipeline's stages (trace → profile → select → simulate), one
+  :class:`SpanTree` per run;
 - :mod:`repro.obs.manifest` — the per-run JSON manifest;
 - :mod:`repro.obs.trace_report` — offline trace summarization
   (``python -m repro trace-report``);
 - :mod:`repro.obs.ledger` + :mod:`repro.obs.explain` — the decision
   ledger joining compile-time selection verdicts with runtime dpred
-  outcomes (``python -m repro explain``).
+  outcomes (``python -m repro explain``);
+- :mod:`repro.obs.schema` — the JSON schemas of the CLI outputs and
+  their validator.
 
-:mod:`repro.obs.context` holds the active tracer/registry/profile so
+:mod:`repro.obs.context` holds the active tracer/registry/span tree so
 the CLI can enable telemetry without threading arguments through every
 experiment signature.  See ``docs/observability.md``.
 """
@@ -26,7 +29,7 @@ from repro.obs.context import (
     Telemetry,
     active,
     get_metrics,
-    get_phases,
+    get_spans,
     get_tracer,
     telemetry,
 )
@@ -42,7 +45,6 @@ from repro.obs.explain import (
     cell_ledger_summary,
     format_explain,
     join_ledgers,
-    validate_explain,
 )
 from repro.obs.ledger import (
     RUNTIME_COUNTERS,
@@ -58,7 +60,6 @@ from repro.obs.metrics import (
     parse_openmetrics,
 )
 from repro.obs.spans import PATH_SEP, SpanHandle, SpanTree, span
-from repro.obs.timers import PhaseProfile, phase
 from repro.obs.trace_report import format_trace_report, summarize_trace
 from repro.obs.tracectx import (
     TRACE_DIR_ENV,
@@ -89,7 +90,7 @@ __all__ = [
     "Telemetry",
     "active",
     "get_metrics",
-    "get_phases",
+    "get_spans",
     "get_tracer",
     "telemetry",
     "MANIFEST_SCHEMA",
@@ -101,7 +102,6 @@ __all__ = [
     "cell_ledger_summary",
     "format_explain",
     "join_ledgers",
-    "validate_explain",
     "RUNTIME_COUNTERS",
     "RuntimeLedger",
     "SelectionDecision",
@@ -111,8 +111,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "parse_openmetrics",
-    "PhaseProfile",
-    "phase",
     "PATH_SEP",
     "SpanHandle",
     "SpanTree",

@@ -273,20 +273,12 @@ class CampaignCellQuarantined:
 
 @event
 @dataclass(frozen=True)
-class PhaseEnd:
-    """A harness phase (trace/profile/select/simulate) completed."""
-
-    type: ClassVar[str] = "phase.end"
-    name: str
-    seconds: float
-    events: int
-
-
-@event
-@dataclass(frozen=True)
 class SpanEnd:
-    """A hierarchical timed span closed (see :mod:`repro.obs.spans`).
+    """A timed span closed (see :mod:`repro.obs.spans`).
 
+    The one record shape for a closed span: the tracer emits it, and
+    the distributed-trace spool writes it stamped with the trace
+    identity (:meth:`~repro.obs.tracectx.TraceContext.exit_span`).
     ``path`` is the ``"/"``-joined span path from the root (the parent
     is everything before the last separator); ``self_seconds`` is the
     cumulative ``seconds`` minus the children's cumulative time.

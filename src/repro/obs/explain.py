@@ -18,10 +18,8 @@ flagged ``misestimated``.
 
 The join also powers ``campaign report --explain``
 (:func:`cell_ledger_summary` is the compact per-cell form journaled
-next to the cache counters) and the CI smoke test
-(:func:`validate_explain` checks the ``--json`` output against
-``docs/schemas/explain.schema.json`` without needing the jsonschema
-package).
+next to the cache counters).  The ``--json`` output is pinned by the
+``explain`` schema (:mod:`repro.obs.schema`).
 """
 
 import argparse
@@ -427,64 +425,6 @@ def _branch_detail(data, branch):
         + ("  MISESTIMATED" if entry["misestimated"] else "")
     )
     return lines
-
-
-# ---------------------------------------------------------------------------
-# Minimal JSON-schema validation (the container has no jsonschema)
-# ---------------------------------------------------------------------------
-
-_TYPE_CHECKS = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "number": lambda v: isinstance(v, (int, float))
-    and not isinstance(v, bool),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "boolean": lambda v: isinstance(v, bool),
-    "null": lambda v: v is None,
-}
-
-
-def validate_explain(data, schema, path="$"):
-    """Validate ``data`` against a small JSON-schema subset.
-
-    Supports ``type`` (string or list), ``properties``, ``required``,
-    ``items``, ``enum``, and ``additionalProperties: false`` — enough
-    for ``docs/schemas/explain.schema.json``.  Returns a list of
-    ``"path: message"`` strings (empty = valid).
-    """
-    errors = []
-    expected = schema.get("type")
-    if expected is not None:
-        types = [expected] if isinstance(expected, str) else expected
-        if not any(_TYPE_CHECKS[t](data) for t in types):
-            errors.append(
-                f"{path}: expected {'|'.join(types)}, "
-                f"got {type(data).__name__}"
-            )
-            return errors
-    if "enum" in schema and data not in schema["enum"]:
-        errors.append(f"{path}: {data!r} not in enum {schema['enum']}")
-    if isinstance(data, dict):
-        for name in schema.get("required", ()):
-            if name not in data:
-                errors.append(f"{path}: missing required key {name!r}")
-        properties = schema.get("properties", {})
-        for name, subschema in properties.items():
-            if name in data:
-                errors.extend(validate_explain(
-                    data[name], subschema, f"{path}.{name}"
-                ))
-        if schema.get("additionalProperties") is False:
-            for name in data:
-                if name not in properties:
-                    errors.append(f"{path}: unexpected key {name!r}")
-    if isinstance(data, list) and "items" in schema:
-        for index, item in enumerate(data):
-            errors.extend(validate_explain(
-                item, schema["items"], f"{path}[{index}]"
-            ))
-    return errors
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,11 @@ attribution three ways:
 - **folded stacks** (``--folded``) in Brendan Gregg's
   ``a;b;leaf <weight>`` format — pipe into ``flamegraph.pl`` or paste
   into speedscope; weights are integer microseconds of self-time;
-- machine-readable **JSON** (``--json``) pinned by
-  ``docs/schemas/profile.schema.json`` and checked with the same
-  dependency-free validator as ``explain``
-  (:func:`~repro.obs.explain.validate_explain`).
+- machine-readable **JSON** (``--json``) pinned by the ``profile``
+  schema and checked by :func:`repro.obs.schema.validate`.
 
 The per-component buckets are a stopwatch partition of the simulate
-region, so they sum (within scheduler noise at the phase boundary) to
+region, so they sum (within scheduler noise at the span boundary) to
 the ``simulate`` span's self-time; the report prints that coverage
 explicitly.  ``sim.insts_per_sec`` — retired instructions over the
 simulate span's self-time — is the same throughput number the
@@ -30,19 +28,12 @@ benchmark trajectory gate tracks.
 
 import argparse
 import json
-import os
 import sys
 
 from repro.errors import WorkloadError
-from repro.obs.explain import validate_explain
+from repro.obs.schema import load_schema, validate
+from repro.obs.spans import SpanTree
 from repro.uarch.profiler import COMPONENTS, EVENT_MEANING
-
-#: Ships next to the code so the CLI can self-validate anywhere.
-SCHEMA_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))))),
-    "docs", "schemas", "profile.schema.json",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -61,19 +52,18 @@ def build_profile(workload, selection_config, input_set="reduced",
     from repro.experiments.runner import run_selection
     from repro.obs.context import telemetry
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.timers import PhaseProfile
     from repro.uarch.profiler import SimProfiler
 
     registry = MetricsRegistry()
-    phases = PhaseProfile()
+    spans = SpanTree()
     profiler = SimProfiler()
-    with telemetry(metrics=registry, phases=phases):
+    with telemetry(metrics=registry, spans=spans):
         stats, annotation = run_selection(
             workload, selection_config,
             input_set=input_set, scale=scale,
             config=processor_config, profiler=profiler,
         )
-    simulate_self = phases.spans.self_seconds(("simulate",))
+    simulate_self = spans.self_seconds(("simulate",))
     attributed = profiler.total_seconds()
     return {
         "workload": workload,
@@ -86,7 +76,7 @@ def build_profile(workload, selection_config, input_set="reduced",
             "retired_instructions": stats.retired_instructions,
             "ipc": stats.ipc,
         },
-        "spans": phases.spans_as_dict(),
+        "spans": spans.as_dict(),
         "simulate": {
             "self_seconds": simulate_self,
             "attributed_seconds": attributed,
@@ -106,30 +96,6 @@ def build_profile(workload, selection_config, input_set="reduced",
 # ---------------------------------------------------------------------------
 # Rendering (pure functions of the data dict, so JSON round-trips render)
 # ---------------------------------------------------------------------------
-
-
-def _span_lines(spans):
-    """Indented span-tree lines from a ``spans_as_dict`` snapshot."""
-    if not spans:
-        return ["no spans recorded"]
-    keys = sorted(spans)
-    labels = {
-        key: "  " * key.count("/") + key.rsplit("/", 1)[-1]
-        for key in keys
-    }
-    width = max(len(label) for label in labels.values())
-    lines = ["span timings (self-time = region minus children):"]
-    for key in keys:
-        entry = spans[key]
-        line = (
-            f"  {labels[key].ljust(width)}  {entry['seconds']:8.3f}s"
-            f"  (self {entry['self_seconds']:8.3f}s)"
-            f"  x{entry['calls']}"
-        )
-        if entry.get("events"):
-            line += f"  {entry['events']} events"
-        lines.append(line)
-    return lines
 
 
 def _hotspot_lines(data):
@@ -169,7 +135,7 @@ def format_profile(data):
         f"self-time",
         "",
     ]
-    lines.extend(_span_lines(data["spans"]))
+    lines.append(SpanTree().merge_snapshot(data["spans"]).report())
     lines.append("")
     lines.extend(_hotspot_lines(data))
     return "\n".join(lines)
@@ -210,16 +176,9 @@ def folded_profile(data):
 # ---------------------------------------------------------------------------
 
 
-def load_profile_schema(path=SCHEMA_PATH):
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def validate_profile(data, schema=None):
+def validate_profile(data):
     """Errors (empty list = valid) for one profile record vs the schema."""
-    if schema is None:
-        schema = load_profile_schema()
-    return validate_explain(data, schema)
+    return validate(data, load_schema("profile"))
 
 
 def append_profile_log(path, data):
@@ -304,7 +263,7 @@ def main(argv=None):
     form.add_argument(
         "--json", action="store_true",
         help="emit the full profile as schema-pinned JSON "
-             "(docs/schemas/profile.schema.json)",
+             "(repro/obs/schemas/profile.schema.json)",
     )
     form.add_argument(
         "--folded", action="store_true",

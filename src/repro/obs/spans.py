@@ -1,8 +1,11 @@
-"""Hierarchical timed spans: where does the wall-clock go, by region?
+"""Timed regions: where does the wall-clock go, and in which stage?
 
-A *span* is a nestable timed region.  Spans form a tree: entering
-``span("simulate")`` inside ``span("fig6")`` records under the path
-``("fig6", "simulate")``.  Each path accumulates
+A *span* is a nestable timed region; the harness wraps each pipeline
+stage in one (``trace``, ``profile``, ``select``, ``compile.<pass>``,
+``simulate``) and the execution engine wraps each job in ``cell``.
+Spans form a tree: entering ``span("simulate")`` inside
+``span("cell")`` records under the path ``("cell", "simulate")``.
+Each path accumulates
 
 - ``seconds`` — cumulative wall-clock (the span and everything below);
 - ``self_seconds`` — cumulative minus the children's cumulative, i.e.
@@ -10,14 +13,18 @@ A *span* is a nestable timed region.  Spans form a tree: entering
 - ``events`` — an optional throughput count (instructions, rows, ...);
 - ``calls`` — how many times the path was entered.
 
-The flat :class:`~repro.obs.timers.PhaseProfile` is a depth-1 view
-over a :class:`SpanTree` — ``phase()`` keeps its exact old behaviour
-while nested spans carry the finer structure.  Closing a span mirrors
-``span_<dotted.path>_{seconds,calls}_total`` counters into the metrics
-registry and emits a :class:`~repro.obs.events.SpanEnd` trace event
-when tracing is on, so ``trace-report`` can rebuild the hotspot view
-offline.  Snapshots (:meth:`SpanTree.as_dict`) merge across ``--jobs
-N`` workers in plan order exactly like metrics snapshots do.
+:meth:`SpanTree.by_name` is the per-stage view the run manifest
+(``phases``) reports: totals per span name that count only the
+outermost occurrence of a name on each path, so nothing is counted
+twice.  Closing a span builds one :class:`~repro.obs.events.SpanEnd`:
+the tracer emits it when tracing is on, and an active distributed
+:class:`~repro.obs.tracectx.TraceContext` spools the same record with
+its trace identity, so ``trace-report`` and ``trace show`` read one
+format.  Snapshots (:meth:`SpanTree.as_dict`) merge across ``--jobs N``
+workers in plan order exactly like metrics snapshots do.
+
+The stack of open spans is per thread, so the serve daemon's request
+threads can share one tree.
 
 Usage::
 
@@ -27,6 +34,7 @@ Usage::
         sp.events = stats.retired_instructions
 """
 
+import threading
 import time
 from contextlib import contextmanager
 
@@ -48,17 +56,24 @@ class SpanHandle:
 class SpanTree:
     """Accumulated wall-clock per span path (tuple of names from root)."""
 
-    __slots__ = ("_entries", "_stack")
+    __slots__ = ("_entries", "_local")
 
     def __init__(self):
         self._entries = {}
-        self._stack = []
+        self._local = threading.local()
+
+    def _stack(self):
+        """This thread's stack of open :class:`SpanHandle` objects."""
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
 
     def record(self, path, seconds, self_seconds=None, events=0, calls=1):
         """Fold one completed span (or a merged aggregate) into ``path``.
 
-        ``self_seconds`` defaults to ``seconds`` — correct for leaf
-        spans and for flat phase records, which have no children.
+        ``self_seconds`` defaults to ``seconds`` (a span without
+        children).
         """
         path = tuple(path)
         entry = self._entries.get(path)
@@ -97,14 +112,9 @@ class SpanTree:
         """All recorded paths, sorted (parents before children)."""
         return sorted(self._entries)
 
-    def roots(self):
-        """The depth-1 span names, sorted (the PhaseProfile view)."""
-        return sorted(p[0] for p in self._entries if len(p) == 1)
-
-    def current_path(self, name=None):
-        """The active span path, optionally extended by ``name``."""
-        path = tuple(handle.name for handle in self._stack)
-        return path + (name,) if name is not None else path
+    def current_path(self):
+        """The path of the spans open on this thread."""
+        return tuple(handle.name for handle in self._stack())
 
     def as_dict(self):
         """JSON-ready snapshot keyed by ``"/"``-joined path."""
@@ -124,12 +134,37 @@ class SpanTree:
         for key, entry in snapshot.items():
             self.record(
                 tuple(key.split(PATH_SEP)),
-                entry.get("seconds", 0.0),
-                entry.get("self_seconds", entry.get("seconds", 0.0)),
-                entry.get("events", 0),
-                entry.get("calls", 0),
+                entry["seconds"],
+                entry["self_seconds"],
+                entry["events"],
+                entry["calls"],
             )
         return self
+
+    def by_name(self):
+        """Per-name totals, JSON-ready and sorted by name.
+
+        A path counts towards its last name only when that name does
+        not also appear higher up the path, so a region nested inside
+        itself is not counted twice.  ``events_per_sec`` is derived.
+        """
+        totals = {}
+        for path, entry in self._entries.items():
+            name = path[-1]
+            if name in path[:-1]:
+                continue
+            total = totals.setdefault(
+                name, {"seconds": 0.0, "events": 0, "calls": 0}
+            )
+            total["seconds"] += entry["seconds"]
+            total["events"] += entry["events"]
+            total["calls"] += entry["calls"]
+        for total in totals.values():
+            total["events_per_sec"] = (
+                total["events"] / total["seconds"]
+                if total["seconds"] > 0 and total["events"] else 0.0
+            )
+        return dict(sorted(totals.items()))
 
     def report(self):
         """Human-readable indented tree, one line per path."""
@@ -153,29 +188,25 @@ class SpanTree:
 
 
 @contextmanager
-def span(name, events=0, tree=None, metrics=None, tracer=None,
-         attrs=None):
+def span(name, events=0, tree=None, tracer=None, attrs=None):
     """Time one nested region; see the module docstring for the contract.
 
-    ``tree``/``metrics``/``tracer`` default to the active telemetry
-    context (the tree lives on the context's phase profile).  The span
-    stack unwinds correctly when the body raises: the handle is popped
-    and the elapsed time recorded either way.
+    ``tree``/``tracer`` default to the active telemetry context.  The
+    span stack unwinds correctly when the body raises: the handle is
+    popped and the elapsed time recorded either way.
 
     When a distributed :class:`~repro.obs.tracectx.TraceContext` is
     active on this thread, the span also gets a trace-wide span id and
-    appends a record to the per-process spool on close; ``attrs`` ride
-    along on that record only (never into metric names, which must stay
-    low-cardinality).
+    its record is appended to the per-process spool on close; ``attrs``
+    ride along on that record only.
     """
     from repro.obs import context, tracectx
 
-    tree = tree if tree is not None else context.get_phases().spans
-    metrics = metrics if metrics is not None else context.get_metrics()
+    tree = tree if tree is not None else context.get_spans()
     tracer = tracer if tracer is not None else context.get_tracer()
 
     handle = SpanHandle(name, events)
-    stack = tree._stack
+    stack = tree._stack()
     path = tuple(h.name for h in stack) + (name,)
     stack.append(handle)
     ctx = tracectx.current()
@@ -188,29 +219,22 @@ def span(name, events=0, tree=None, metrics=None, tracer=None,
     finally:
         elapsed = time.perf_counter() - start
         stack.pop()
-        self_seconds = elapsed - handle.child_seconds
-        if self_seconds < 0.0:
-            self_seconds = 0.0
+        self_seconds = max(elapsed - handle.child_seconds, 0.0)
         if stack:
             stack[-1].child_seconds += elapsed
         tree.record(path, elapsed, self_seconds, handle.events)
-        dotted = ".".join(path)
-        metrics.counter(f"span_{dotted}_seconds_total").inc(elapsed)
-        metrics.counter(f"span_{dotted}_calls_total").inc()
-        if tracer.enabled:
+        if tracer.enabled or ctx is not None:
             from repro.obs.events import SpanEnd
 
-            tracer.emit(SpanEnd(
+            end = SpanEnd(
                 name=name,
                 path=PATH_SEP.join(path),
                 depth=len(path),
                 seconds=elapsed,
                 self_seconds=self_seconds,
                 events=handle.events,
-            ))
-        if ctx is not None:
-            ctx.exit_span(
-                span_id, parent_id, name, PATH_SEP.join(path),
-                start_ts, elapsed, self_seconds,
-                events=handle.events, attrs=attrs,
             )
+            if tracer.enabled:
+                tracer.emit(end)
+            if ctx is not None:
+                ctx.exit_span(span_id, parent_id, end, start_ts, attrs)

@@ -6,6 +6,9 @@ where the remaining pipeline flushes come from, and what the selector
 decided (and why).  The summary also reconciles per-event counts
 against the ``sim.run.end`` totals — a mismatch means events were
 dropped, which would make any trace-driven diagnosis untrustworthy.
+
+A distributed-trace spool (``spans-<pid>.jsonl``) carries the same
+``span.end`` records as an event log, so it summarizes too.
 """
 
 from collections import Counter as TallyCounter
@@ -35,7 +38,6 @@ def summarize_trace(path, trace_id=None):
         "rejected_by_reason": TallyCounter(),
     }
     runs = []
-    phases = {}
     spans = {}
     total = 0
     corrupt = []
@@ -103,14 +105,6 @@ def summarize_trace(path, trace_id=None):
                 "dpred_episodes_merged": record.get(
                     "dpred_episodes_merged", 0),
             })
-        elif kind == "phase.end":
-            entry = phases.setdefault(
-                record.get("name", ""),
-                {"seconds": 0.0, "events": 0, "calls": 0},
-            )
-            entry["seconds"] += record.get("seconds", 0.0)
-            entry["events"] += record.get("events", 0)
-            entry["calls"] += 1
         elif kind == "span.end":
             entry = spans.setdefault(
                 record.get("path", record.get("name", "")),
@@ -156,7 +150,6 @@ def summarize_trace(path, trace_id=None):
         "flush_sources": flush_sources,
         "selection": selection,
         "runs": runs,
-        "phases": phases,
         "spans": spans,
         "reconciliation": reconciliation,
     }
@@ -250,16 +243,7 @@ def format_trace_report(summary, top=10):
         if len(summary["runs"]) > top:
             lines.append(f"    ... and {len(summary['runs']) - top} more")
 
-    if summary["phases"]:
-        lines.append("")
-        lines.append("phase timings (from trace):")
-        for name, entry in sorted(summary["phases"].items()):
-            lines.append(
-                f"    {name:<12} {entry['seconds']:8.3f}s"
-                f"  x{entry['calls']}  {entry['events']} events"
-            )
-
-    spans = summary.get("spans", {})
+    spans = summary["spans"]
     if spans:
         # Same ordering as the profile CLI's hotspot table: self-time,
         # largest first (ties broken by path for determinism).

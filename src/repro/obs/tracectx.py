@@ -24,15 +24,16 @@ The active context is **thread-local**: the serve daemon installs one
 per request thread, CLI entry points install one on the main thread,
 and forked workers rebuild one from the propagated traceparent.  When
 no context is active (the default), :func:`current` returns ``None``
-and the tracing hooks in :func:`~repro.obs.spans.span` /
-:func:`~repro.obs.timers.phase` cost a single attribute check —
-mirroring the ``NULL_TRACER`` hot-loop contract.
+and the tracing hook in :func:`~repro.obs.spans.span` costs a single
+attribute check — mirroring the ``NULL_TRACER`` hot-loop contract.
 """
 
 import json
 import os
 import threading
 from contextlib import contextmanager
+
+from repro.obs.events import to_record
 
 #: HTTP header carrying the traceparent value on /v1/* requests and
 #: echoed back on every traced response.
@@ -262,26 +263,25 @@ class TraceContext:
         self._stack.append(span_id)
         return span_id, parent
 
-    def exit_span(self, span_id, parent_id, name, path, start_ts,
-                  seconds, self_seconds, events=0, attrs=None):
-        """Close the innermost span and append its spool record."""
+    def exit_span(self, span_id, parent_id, end, start_ts, attrs=None):
+        """Close the innermost span and spool its record.
+
+        The record is the span's :class:`~repro.obs.events.SpanEnd`
+        record stamped with this context's trace identity.
+        """
         if self._stack and self._stack[-1] == span_id:
             self._stack.pop()
         if self.spool is None:
             return None
-        record = {
-            "trace_id": self.trace_id,
-            "span_id": span_id,
-            "parent_id": parent_id,
-            "name": name,
-            "path": path,
-            "service": self.service,
-            "pid": os.getpid(),
-            "start_ts": start_ts,
-            "seconds": seconds,
-            "self_seconds": self_seconds,
-            "events": events,
-        }
+        record = to_record(end)
+        record.update(
+            trace_id=self.trace_id,
+            span_id=span_id,
+            parent_id=parent_id,
+            service=self.service,
+            pid=os.getpid(),
+            start_ts=start_ts,
+        )
         merged = dict(self.attrs)
         if attrs:
             merged.update(attrs)

@@ -20,9 +20,9 @@ serve daemon thread, a campaign scheduler, and N forked shard workers:
 - the per-process summary shows which services/pids participated and
   how much wall-clock each contributed.
 
-``--json`` output is pinned by ``docs/schemas/trace.schema.json`` and
-validated with the same dependency-free checker the explain/profile
-CLIs use; ``--folded`` emits flamegraph-style stack lines.
+``--json`` output is pinned by the ``trace`` schema and checked by
+:func:`repro.obs.schema.validate`; ``--folded`` emits flamegraph-style
+stack lines.
 """
 
 import argparse
@@ -30,16 +30,9 @@ import json
 import os
 import sys
 
-from repro.obs.explain import validate_explain
+from repro.obs.schema import load_schema, validate
 from repro.obs.tracer import iter_records
 from repro.obs.tracectx import SPOOL_PREFIX, SPOOL_SUFFIX, TRACE_DIR_ENV
-
-SCHEMA_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))
-    ))),
-    "docs", "schemas", "trace.schema.json",
-)
 
 #: Keys every usable spool record must carry.
 _REQUIRED_KEYS = ("trace_id", "span_id", "name", "start_ts", "seconds")
@@ -231,15 +224,9 @@ def build_timeline(directory, trace_id):
     }
 
 
-def load_trace_schema(path=SCHEMA_PATH):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def validate_timeline(data, schema=None):
+def validate_timeline(data):
     """Schema errors for a :func:`build_timeline` payload (empty = ok)."""
-    schema = schema if schema is not None else load_trace_schema()
-    return validate_explain(data, schema)
+    return validate(data, load_schema("trace"))
 
 
 def format_timeline(data):

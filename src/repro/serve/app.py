@@ -216,15 +216,9 @@ class ServeApp:
         with tracectx.activate(ctx):
             if ctx is not None:
                 meta["trace_id"] = ctx.trace_id
-                from repro.obs.spans import SpanTree, span
+                from repro.obs.spans import span
 
-                # A throwaway per-request tree: the *global* span tree
-                # stack is not safe under concurrent request threads,
-                # and the cross-process trace hierarchy lives on the
-                # TraceContext, not the tree.  Metrics still land in
-                # the (thread-safe) shared registry.
-                with span(f"serve.{endpoint}", tree=SpanTree(),
-                          metrics=self.registry):
+                with span(f"serve.{endpoint}"):
                     meta["traceparent"] = ctx.traceparent()
                     status, response = self._dispatch(
                         endpoint, body, meta

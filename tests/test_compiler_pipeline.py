@@ -33,7 +33,7 @@ from repro.core import (
     select_diverge_branches,
 )
 from repro.core.thresholds import COST_MODEL_BOUNDS, SelectionThresholds
-from repro.obs import MetricsRegistry, jsonl_tracer, telemetry
+from repro.obs import MetricsRegistry, SpanTree, jsonl_tracer, telemetry
 from repro.obs.tracer import iter_records
 from repro.profiling import Profiler
 from repro.workloads import BENCHMARK_NAMES, load_benchmark
@@ -418,13 +418,14 @@ class TestPipelineBuilder:
         assert "exact" in repr(pipeline) and "freq" in repr(pipeline)
 
     def test_pass_telemetry(self, twolf, tmp_path):
-        """Each pass emits start/end events, phase timers, and counts."""
+        """Each pass emits start/end events, a span, and counts."""
         program, profile = twolf
         trace_path = tmp_path / "trace.jsonl"
         registry_ = MetricsRegistry()
+        spans = SpanTree()
         tracer = jsonl_tracer(str(trace_path))
         config = registry.resolve("all-best-heur")
-        with telemetry(tracer=tracer, metrics=registry_):
+        with telemetry(tracer=tracer, metrics=registry_, spans=spans):
             pipeline = PipelineBuilder.from_config(config).build()
             ctx = context_for_config(
                 program, profile, config, tracer=tracer,
@@ -443,7 +444,11 @@ class TestPipelineBuilder:
             pipeline.pass_names()
         )
         assert snapshot["selection_runs_total"]["value"] == 1
-        assert "phase_compile.exact_seconds_total" in snapshot
+        assert spans.by_name()["compile.exact"]["calls"] == 1
+        span_ends = [e["name"] for e in events if e["type"] == "span.end"]
+        assert span_ends == [
+            f"compile.{name}" for name in pipeline.pass_names()
+        ]
 
     def test_empty_pipeline_yields_empty_annotation(self, twolf):
         program, profile = twolf

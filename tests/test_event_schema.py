@@ -77,11 +77,18 @@ def test_from_record_tolerates_unknown_type_and_extra_fields():
     assert isinstance(generic, events.GenericEvent)
     assert generic.payload == {"x": 1}
     # Extra fields on a *known* type (written by a newer build) drop.
+    # A span spool record is a span.end record plus the trace stamp.
     evt = events.from_record({
-        "type": "phase.end", "name": "sim", "seconds": 0.5,
-        "events": 3, "added_in_v9": True,
+        "type": "span.end", "name": "sim", "path": "cell/sim",
+        "depth": 2, "seconds": 0.5, "self_seconds": 0.5, "events": 3,
+        "trace_id": "t", "span_id": "s", "parent_id": None,
+        "service": "repro", "pid": 1, "start_ts": 0.0,
+        "added_in_v9": True,
     })
-    assert evt == events.PhaseEnd(name="sim", seconds=0.5, events=3)
+    assert evt == events.SpanEnd(
+        name="sim", path="cell/sim", depth=2, seconds=0.5,
+        self_seconds=0.5, events=3,
+    )
 
 
 # -- every event type through the offline readers ----------------------------
@@ -151,7 +158,6 @@ def _one_of_each():
         events.CampaignCellQuarantined(
             campaign="c", cell_id="def", attempts=3,
         ),
-        events.PhaseEnd(name="simulate", seconds=0.1, events=100),
         events.SpanEnd(
             name="fetch", path="simulate/fetch", depth=2,
             seconds=0.06, self_seconds=0.06, events=90,
@@ -240,7 +246,9 @@ def test_ensure_parent_creates_missing_directories(tmp_path):
 def test_jsonl_sink_creates_parent_directories(tmp_path):
     path = str(tmp_path / "deep" / "traces" / "out.jsonl")
     tracer = Tracer(JsonlSink(path))
-    tracer.emit(events.PhaseEnd(name="x", seconds=0.0, events=0))
+    tracer.emit(events.CampaignCellEnd(
+        campaign="c", cell_id="x", attempt=1, seconds=0.0
+    ))
     tracer.close()
     assert os.path.getsize(path) > 0
 

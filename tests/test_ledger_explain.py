@@ -32,22 +32,18 @@ from repro.obs.explain import (
     join_ledgers,
     main as explain_main,
     observed_outcome,
-    validate_explain,
 )
 from repro.obs.ledger import (
     RUNTIME_COUNTERS,
     RuntimeLedger,
     SelectionLedger,
 )
+from repro.obs.schema import load_schema, validate
 from repro.experiments.runner import run_selection
 from repro.workloads.suite import BENCHMARK_NAMES
 
 SCALE = 0.1
 
-SCHEMA_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "docs", "schemas",
-    "explain.schema.json",
-)
 
 CONFIGS = ("all-best-heur", "all-best-cost")
 
@@ -282,9 +278,7 @@ def test_explain_json_validates_against_checked_in_schema(tmp_path, capsys):
     ])
     assert rc == 0
     data = json.load(open(out, encoding="utf-8"))
-    with open(SCHEMA_PATH, encoding="utf-8") as handle:
-        schema = json.load(handle)
-    assert validate_explain(data, schema) == []
+    assert validate(data, load_schema("explain")) == []
     assert data["workload"] == "mcf"
     assert data["config"] == "all-best-cost"
     assert data["reconciliation"]["consistent"]
@@ -305,10 +299,8 @@ def test_explain_unknown_workload_fails_cleanly(capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
-def test_validate_explain_flags_schema_violations():
-    with open(SCHEMA_PATH, encoding="utf-8") as handle:
-        schema = json.load(handle)
-    errors = validate_explain({"workload": 3}, schema)
+def test_explain_schema_flags_violations():
+    errors = validate({"workload": 3}, load_schema("explain"))
     assert errors  # wrong type and missing required keys
     assert any("workload" in e for e in errors)
 
@@ -429,9 +421,7 @@ def test_explain_meld_json_validates_against_schema(tmp_path):
     ])
     assert rc == 0
     data = json.load(open(out, encoding="utf-8"))
-    with open(SCHEMA_PATH, encoding="utf-8") as handle:
-        schema = json.load(handle)
-    assert validate_explain(data, schema) == []
+    assert validate(data, load_schema("explain")) == []
     assert data["melded_branches"] == VPR_MELDED_PCS
 
 

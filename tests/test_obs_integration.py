@@ -146,7 +146,7 @@ class TestCli:
         ])
         assert status == 0
         out = capsys.readouterr().out
-        assert "phase timings" in out
+        assert "span timings" in out
 
         # The trace is parseable JSONL with the core event families.
         types = {

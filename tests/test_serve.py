@@ -22,7 +22,7 @@ import pytest
 from repro import __main__ as repro_main
 from repro.campaign.spec import DEFAULT_CELL, content_hash, run_cell
 from repro.obs.context import telemetry
-from repro.obs.explain import validate_explain
+from repro.obs.schema import load_schema, validate
 from repro.serve import daemon
 from repro.serve.app import ServeApp, SingleFlight
 from repro.serve.daemon import LINGER_BYTES, MAX_BODY_BYTES, \
@@ -31,10 +31,6 @@ from repro.serve.daemon import LINGER_BYTES, MAX_BODY_BYTES, \
 SCALE = 0.1
 BENCH = "gzip"
 
-SCHEMA_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "docs", "schemas",
-    "simulate.schema.json",
-)
 
 
 def _cli_stdout(argv):
@@ -135,9 +131,7 @@ class TestByteIdentity:
             "benchmark": BENCH, "scale": SCALE,
         })
         assert status == 200
-        with open(SCHEMA_PATH, encoding="utf-8") as handle:
-            schema = json.load(handle)
-        assert validate_explain(json.loads(body), schema) == []
+        assert validate(json.loads(body), load_schema("simulate")) == []
 
 
 class TestValidation:

@@ -19,7 +19,7 @@ from repro.errors import SimulationError
 from repro.exec import artifact_cache
 from repro.experiments import fig5, fig7, meldcompare, runner
 from repro.experiments.runner import KeyedCache, get_artifacts
-from repro.obs import MetricsRegistry, PhaseProfile, telemetry
+from repro.obs import MetricsRegistry, SpanTree, telemetry
 from repro.obs.ledger import RuntimeLedger
 from repro.obs.tracer import ListSink, Tracer
 from repro.uarch import ProcessorConfig, SimProfiler, TimingSimulator
@@ -46,7 +46,7 @@ def _figures(monkeypatch, memo):
     """fig5 and fig7 from cold caches; returns (results, metrics)."""
     monkeypatch.setattr(runner, "sim_memo", memo)
     registry = MetricsRegistry()
-    with telemetry(metrics=registry, phases=PhaseProfile()):
+    with telemetry(metrics=registry, spans=SpanTree()):
         runner.clear_cache()
         results = (
             fig5.run(scale=SCALE, benchmarks=BENCH, jobs=1),

@@ -1,7 +1,7 @@
 """Hierarchical spans, the simulator cost profiler, and the profile CLI.
 
-Covers the observability tentpole: span nesting/unwinding semantics,
-the PhaseProfile-as-view byte compatibility, deterministic simulator
+Covers span nesting/unwinding semantics, the per-name
+:meth:`SpanTree.by_name` view, deterministic simulator
 cost attribution (``profiler=None`` changes nothing), structural
 bit-identity of span trees under parallel execution, the ``repro
 profile`` CLI with its schema, torn-tail-tolerant profile logs, and
@@ -15,10 +15,9 @@ import time
 import pytest
 
 from repro.experiments import fig6, runner
-from repro.obs import MetricsRegistry, PhaseProfile, SpanTree, span
+from repro.obs import MetricsRegistry, SpanTree, span
 from repro.obs.context import telemetry
 from repro.obs.spans import PATH_SEP
-from repro.obs.timers import phase
 from repro.uarch import SimProfiler, TimingSimulator
 from repro.uarch.profiler import COMPONENTS, NUM_COMPONENTS
 
@@ -27,7 +26,7 @@ class TestSpanTree:
     def test_nested_spans_record_paths_and_self_time(self):
         tree = SpanTree()
         registry = MetricsRegistry()
-        with telemetry(metrics=registry, phases=PhaseProfile(tree)):
+        with telemetry(metrics=registry, spans=tree):
             with span("outer"):
                 time.sleep(0.01)
                 with span("inner"):
@@ -43,15 +42,12 @@ class TestSpanTree:
         )
         assert inner["self_seconds"] == pytest.approx(inner["seconds"])
         assert outer["calls"] == inner["calls"] == 1
-        # Metrics mirror with dotted path names.
-        assert registry.counter(
-            "span_outer.inner_seconds_total").value > 0
+        # The tree is the only store: no timing counters.
+        assert registry.as_dict() == {}
 
     def test_span_stack_unwinds_on_exception(self):
         tree = SpanTree()
-        bundle = telemetry(
-            metrics=MetricsRegistry(), phases=PhaseProfile(tree)
-        )
+        bundle = telemetry(metrics=MetricsRegistry(), spans=tree)
         with bundle:
             with pytest.raises(RuntimeError):
                 with span("outer"):
@@ -79,30 +75,56 @@ class TestSpanTree:
         assert a.seconds(("z",)) == pytest.approx(1.0)
         assert a.seconds(("x", "y")) == pytest.approx(0.5)
 
-    def test_phase_profile_is_a_depth1_view(self):
-        profile = PhaseProfile()
-        with telemetry(metrics=MetricsRegistry(), phases=profile):
-            with phase("simulate") as ph:
-                ph.events = 100
-            with span("simulate"):
-                pass
-        # Phases and depth-1 spans share the same tree path.
-        assert profile.spans.get(("simulate",))["calls"] == 2
-        snapshot = profile.as_dict()["simulate"]
-        # The flat snapshot keeps its historical shape: no
-        # self_seconds key leaks into the byte-compatible view.
-        assert sorted(snapshot) == [
+    def test_by_name_counts_the_outermost_occurrence(self):
+        tree = SpanTree()
+        tree.record(("cell",), 3.0, 1.0)
+        tree.record(("cell", "simulate"), 2.0, events=100)
+        tree.record(("simulate",), 1.0, events=50)
+        tree.record(("cell", "select"), 0.5, 0.25, events=4)
+        tree.record(("cell", "select", "select"), 0.25, events=2)
+        by_name = tree.by_name()
+        assert list(by_name) == ["cell", "select", "simulate"]
+        # A name summed over every path it ends, wherever it nests.
+        assert by_name["simulate"]["seconds"] == pytest.approx(3.0)
+        assert by_name["simulate"]["calls"] == 2
+        assert by_name["simulate"]["events"] == 150
+        # A region nested inside itself is counted once.
+        assert by_name["select"]["seconds"] == pytest.approx(0.5)
+        assert by_name["select"]["events"] == 4
+        assert sorted(by_name["cell"]) == [
             "calls", "events", "events_per_sec", "seconds"
         ]
-        assert snapshot["events"] == 100
+
+    def test_threads_keep_their_own_span_stack(self):
+        import threading
+
+        tree = SpanTree()
+        entered = threading.Event()
+        release = threading.Event()
+
+        def worker():
+            with span("request", tree=tree):
+                entered.set()
+                release.wait(5)
+                with span("compile", tree=tree):
+                    pass
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        entered.wait(5)
+        with span("main", tree=tree):
+            release.set()
+            thread.join(5)
+        assert tree.paths() == [
+            ("main",), ("request",), ("request", "compile"),
+        ]
 
     def test_span_end_event_in_trace(self, tmp_path):
         from repro.obs import jsonl_tracer
 
         path = tmp_path / "t.jsonl"
         tracer = jsonl_tracer(str(path))
-        with telemetry(tracer=tracer, metrics=MetricsRegistry(),
-                       phases=PhaseProfile()):
+        with telemetry(tracer=tracer, spans=SpanTree()):
             with span("a"):
                 with span("b", events=7):
                     pass
@@ -124,8 +146,7 @@ class TestTraceReportSpans:
 
         path = tmp_path / "t.jsonl"
         tracer = jsonl_tracer(str(path))
-        with telemetry(tracer=tracer, metrics=MetricsRegistry(),
-                       phases=PhaseProfile()):
+        with telemetry(tracer=tracer, spans=SpanTree()):
             for _ in range(2):
                 with span("outer"):
                     with span("inner"):
@@ -166,13 +187,13 @@ class TestParallelSpanMerge:
         from repro.exec import artifact_cache
 
         def run(jobs):
-            phases = PhaseProfile()
-            with telemetry(metrics=MetricsRegistry(), phases=phases):
+            spans = SpanTree()
+            with telemetry(metrics=MetricsRegistry(), spans=spans):
                 runner.clear_cache()
                 result = fig6.run(scale=SCALE, benchmarks=BENCH,
                                   jobs=jobs)
             runner.clear_cache()
-            return result, phases.spans_as_dict()
+            return result, spans.as_dict()
 
         # Disable the disk cache so both runs do the same cold work
         # (a warm load skips the trace/profile phases entirely).

@@ -19,7 +19,7 @@ from repro.campaign import (
 from repro.exec import Job, execute
 from repro.obs import (
     MetricsRegistry,
-    PhaseProfile,
+    SpanTree,
     jsonl_tracer,
     span,
     telemetry,
@@ -107,7 +107,7 @@ class TestActiveContext:
 
     def test_span_hook_parents_nested_spans(self, tmp_path):
         ctx = TraceContext.root(service="t", trace_dir=str(tmp_path))
-        with telemetry(metrics=MetricsRegistry(), phases=PhaseProfile()):
+        with telemetry(metrics=MetricsRegistry(), spans=SpanTree()):
             with activate(ctx):
                 with span("outer"):
                     with span("inner"):
@@ -124,7 +124,7 @@ class TestActiveContext:
         ctx = TraceContext.root(service="t", trace_dir=str(tmp_path))
         tracer = jsonl_tracer(str(out))
         with telemetry(tracer=tracer, metrics=MetricsRegistry(),
-                       phases=PhaseProfile()):
+                       spans=SpanTree()):
             with activate(ctx):
                 with span("work"):
                     pass
@@ -137,7 +137,7 @@ class TestActiveContext:
         assert ends[0]["span_id"] == spooled[0]["span_id"]
 
     def test_no_context_means_no_spool(self, tmp_path):
-        with telemetry(metrics=MetricsRegistry(), phases=PhaseProfile()):
+        with telemetry(metrics=MetricsRegistry(), spans=SpanTree()):
             with span("untraced"):
                 pass
         assert traceview.spool_paths(str(tmp_path)) == []
@@ -309,7 +309,7 @@ class TestExecPropagation:
         jobs = [Job(_traced_cell, n, label=f"job{n}")
                 for n in range(2)]
         with telemetry(metrics=MetricsRegistry(),
-                       phases=PhaseProfile()):
+                       spans=SpanTree()):
             with activate(ctx):
                 with span("driver.run"):
                     results = execute(jobs, jobs=2)
@@ -330,7 +330,7 @@ class TestExecPropagation:
         ctx = TraceContext.root(service="driver",
                                 trace_dir=str(tmp_path))
         with telemetry(metrics=MetricsRegistry(),
-                       phases=PhaseProfile()):
+                       spans=SpanTree()):
             with activate(ctx):
                 results = execute(
                     [Job(_traced_cell, 3, label="one")], jobs=1)
@@ -359,7 +359,7 @@ class TestCampaignPropagation:
                 tmp_path / f"journal.shard-{index}-of-2.jsonl")
             backend = ShardedBackend(2, index)
             with telemetry(metrics=MetricsRegistry(),
-                           phases=PhaseProfile()):
+                           spans=SpanTree()):
                 with activate(ctx):
                     with span("campaign.run"):
                         with Journal(journal_path) as journal:
@@ -386,7 +386,7 @@ class TestCampaignPropagation:
         )
         journal_path = str(tmp_path / "journal.jsonl")
         with telemetry(metrics=MetricsRegistry(),
-                       phases=PhaseProfile()):
+                       spans=SpanTree()):
             with Journal(journal_path) as journal:
                 journal.campaign_start(spec.name, spec.spec_hash, 1)
                 Scheduler(spec, journal, backoff=0.0,
